@@ -3,13 +3,15 @@
 Ambients are commutative Q-algebras presented either as Laurent polynomial
 windows in one variable t (finitely supported vectors indexed by integer
 degree) or as finite-dimensional structure-constant algebras.  All
-arithmetic is exact over Fraction; there are no floats anywhere.  Subspaces
+arithmetic is exact: over Fraction, and over integers inside row reduction
+and determinants; there are no floats anywhere.  Subspaces
 are kept in reduced row echelon form over an ascending key frame, so equal
 subspaces compare equal structurally.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Optional, Sequence, Union
@@ -368,12 +370,57 @@ def element_from_dense(ambient: Ambient, values: Sequence[Rational],
 # --- exact dense linear algebra helpers ---------------------------------
 
 
+_ZERO = Fraction(0)
+
+
+def _primitive(row: list[int]) -> list[int]:
+    """The integer row divided by the gcd of its entries."""
+    g = math.gcd(*row)
+    return row if g <= 1 else [v // g for v in row]
+
+
+def integer_determinant(matrix: Sequence[Sequence[int]]) -> int:
+    """Determinant of a square integer matrix by Bareiss elimination.
+
+    Every intermediate entry is a minor of the input, so each division is
+    exact and no entry grows beyond the size of the determinant itself.
+    """
+    n = len(matrix)
+    mat = [list(r) for r in matrix]
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if mat[k][k] == 0:
+            swap = next((r for r in range(k + 1, n) if mat[r][k] != 0), None)
+            if swap is None:
+                return 0
+            mat[k], mat[swap] = mat[swap], mat[k]
+            sign = -sign
+        pivot_row = mat[k]
+        pivot = pivot_row[k]
+        for r in range(k + 1, n):
+            row = mat[r]
+            factor = row[k]
+            row[k + 1:] = [(pivot * row[c] - factor * pivot_row[c]) // prev
+                           for c in range(k + 1, n)]
+        prev = pivot
+    return sign * mat[n - 1][n - 1] if n else 1
+
+
 def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form in place; returns (nonzero rows, pivot cols)."""
+    """Reduced row echelon form; returns (nonzero rows, pivot cols).
+
+    Each row is scaled to a primitive integer row and eliminated
+    fraction-free, dividing every updated row by the gcd of its entries; only
+    the final rows are divided by their pivots.  The RREF of a row space is
+    unique, so this equals rational Gauss-Jordan elimination exactly.
+    """
     if not rows:
         return [], []
     ncols = len(rows[0])
-    mat = [list(r) for r in rows]
+    mat = []
+    for r in rows:
+        den = math.lcm(*(v.denominator for v in r))
+        mat.append(_primitive([v.numerator * (den // v.denominator) for v in r]))
     pivots = []
     row = 0
     for col in range(ncols):
@@ -381,17 +428,19 @@ def rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
         if sel is None:
             continue
         mat[row], mat[sel] = mat[sel], mat[row]
-        inv = Fraction(1) / mat[row][col]
-        mat[row] = [v * inv for v in mat[row]]
+        pivot_row = mat[row]
+        pivot = pivot_row[col]
         for r in range(len(mat)):
-            if r != row and mat[r][col] != 0:
-                factor = mat[r][col]
-                mat[r] = [a - factor * b for a, b in zip(mat[r], mat[row])]
+            factor = mat[r][col]
+            if r != row and factor != 0:
+                mat[r] = _primitive([pivot * a - factor * b
+                                     for a, b in zip(mat[r], pivot_row)])
         pivots.append(col)
         row += 1
         if row == len(mat):
             break
-    return mat[:row], pivots
+    return [[Fraction(v, r[c]) if v else _ZERO for v in r]
+            for r, c in zip(mat, pivots)], pivots
 
 
 def kernel_basis(rows: list[list[Fraction]], ncols: int) -> list[list[Fraction]]:

@@ -19,14 +19,16 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (AlgebraElement, AmbientError, LaurentAmbient, Subspace,
-                      divide, echelonize, intersect, invert_matrix,
-                      kernel_basis, minkowski_span, rref, solve_linear, _frame)
+                      divide, echelonize, integer_determinant, intersect,
+                      invert_matrix, kernel_basis, minkowski_span, rref,
+                      solve_linear, _frame)
 
 HALL_SUBSET_CAP = 12
 DEFAULT_RETRIES = 200
@@ -551,45 +553,6 @@ class _Pencil:
         return None
 
 
-def _poly_add(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    size = max(len(p), len(q))
-    return [(p[i] if i < len(p) else Fraction(0)) + (q[i] if i < len(q) else Fraction(0))
-            for i in range(size)]
-
-
-def _poly_mul(p: list[Fraction], q: list[Fraction]) -> list[Fraction]:
-    if not p or not q:
-        return []
-    out = [Fraction(0)] * (len(p) + len(q) - 1)
-    for i, a in enumerate(p):
-        if a == 0:
-            continue
-        for j, b in enumerate(q):
-            if b != 0:
-                out[i + j] += a * b
-    return out
-
-
-def _poly_det(matrix: list[list[list[Fraction]]]) -> list[Fraction]:
-    """Determinant of a matrix of univariate polynomials by cofactor expansion."""
-    size = len(matrix)
-    if size == 0:
-        return [Fraction(1)]
-    if size == 1:
-        return matrix[0][0]
-    total: list[Fraction] = []
-    for col in range(size):
-        entry = matrix[0][col]
-        if not any(c != 0 for c in entry):
-            continue
-        minor = [[row[c] for c in range(size) if c != col] for row in matrix[1:]]
-        term = _poly_mul(entry, _poly_det(minor))
-        if col % 2:
-            term = [-c for c in term]
-        total = _poly_add(total, term)
-    return total
-
-
 def _poly_trim(poly: Sequence[Fraction]) -> list[Fraction]:
     out = list(poly)
     while out and out[-1] == 0:
@@ -725,24 +688,37 @@ def _gram_determinant(pencil: _Pencil, axis: int) -> list[Fraction]:
     """det(M^T M) for beta = e_other + s*e_axis as a polynomial in s.
 
     Only meaningful for two-variable pencils; axis selects which of the two
-    variables carries s.
+    variables carries s.  With one common denominator cleared, the degree
+    <= 2m polynomial is sampled at s = 0..2m by integer determinants and
+    recovered by exact Newton interpolation.
     """
     other = 1 - axis
-    nrows = len(pencil.frame)
     m = pencil.ncols
-    const = [[pencil.dense[i][other][r] for i in range(m)] for r in range(nrows)]
-    slope = [[pencil.dense[i][axis][r] for i in range(m)] for r in range(nrows)]
-    gram: list[list[list[Fraction]]] = []
-    for i in range(m):
-        row = []
-        for j in range(m):
-            c0 = sum((const[r][i] * const[r][j] for r in range(nrows)), Fraction(0))
-            c1 = sum((const[r][i] * slope[r][j] + slope[r][i] * const[r][j]
-                      for r in range(nrows)), Fraction(0))
-            c2 = sum((slope[r][i] * slope[r][j] for r in range(nrows)), Fraction(0))
-            row.append([c0, c1, c2])
-        gram.append(row)
-    return _poly_det(gram)
+    degree = 2 * m
+    den = math.lcm(*(v.denominator for col in pencil.dense for part in col for v in part))
+    const = [[v.numerator * (den // v.denominator) for v in col[other]]
+             for col in pencil.dense]
+    slope = [[v.numerator * (den // v.denominator) for v in col[axis]]
+             for col in pencil.dense]
+    values = []
+    for s in range(degree + 1):
+        cols = [[c + s * d for c, d in zip(ci, si)] for ci, si in zip(const, slope)]
+        gram = [[sum(map(operator.mul, ci, cj)) for cj in cols] for ci in cols]
+        values.append(integer_determinant(gram))
+    # Newton form at the nodes 0..2m: the k-th forward difference over k!
+    # multiplies s(s-1)..(s-k+1).  Horner over that basis, with everything
+    # scaled by (2m)! so each coefficient stays an integer.
+    for k in range(1, degree + 1):
+        for i in range(degree, k - 1, -1):
+            values[i] -= values[i - 1]
+    scale = math.factorial(degree)
+    coeffs = [values[degree]]
+    for k in range(degree - 1, -1, -1):
+        coeffs = [0] + coeffs
+        for i in range(len(coeffs) - 1):
+            coeffs[i] -= k * coeffs[i + 1]
+        coeffs[0] += values[k] * (scale // math.factorial(k))
+    return [Fraction(c, scale * den ** degree) for c in coeffs]
 
 
 def _two_variable_decision(pencil: _Pencil) -> tuple[bool, Optional[ProductWitness]]:

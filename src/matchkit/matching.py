@@ -101,16 +101,35 @@ def compatibility_graph(pair: SubsetPair) -> tuple[tuple[int, ...], ...]:
     return tuple(rows)
 
 
-def _augment(adj: Sequence[Sequence[int]], i: int, match_b: list[int],
+def _augment(adj: Sequence[Sequence[int]], root: int, match_b: list[int],
              visited: list[bool]) -> bool:
-    for j in adj[i]:
-        if visited[j]:
-            continue
-        visited[j] = True
-        if match_b[j] < 0 or _augment(adj, match_b[j], match_b, visited):
-            match_b[j] = i
-            return True
-    return False
+    """Depth-first search for an augmenting path from root.
+
+    The recursion of Kuhn's algorithm is kept as an explicit stack of
+    suspended (vertex, remaining neighbours, B vertex taken) frames, so the
+    visiting order is the recursive one and the path length is not limited
+    by the interpreter's recursion limit.
+    """
+    i, neighbours = root, iter(adj[root])
+    stack: list[tuple[int, Iterator[int], int]] = []
+    while True:
+        for j in neighbours:
+            if visited[j]:
+                continue
+            visited[j] = True
+            owner = match_b[j]
+            if owner < 0:
+                match_b[j] = i
+                for k, _, jk in stack:
+                    match_b[jk] = k
+                return True
+            stack.append((i, neighbours, j))
+            i, neighbours = owner, iter(adj[owner])
+            break
+        else:
+            if not stack:
+                return False
+            i, neighbours, _ = stack.pop()
 
 
 def _maximum_matching(adj: Sequence[Sequence[int]], n: int) -> list[int]:
