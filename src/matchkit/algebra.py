@@ -492,7 +492,11 @@ def _frame(elements: Iterable[AlgebraElement]) -> list[Key]:
 
 
 class Subspace:
-    """A finite-dimensional subspace held as a canonical echelonized basis."""
+    """A finite-dimensional subspace held as a canonical echelonized basis.
+
+    The basis must be in RREF over ascending keys, as ``echelonize`` builds
+    it; only then is ``reduce`` a projection with kernel this subspace.
+    """
 
     def __init__(self, ambient: Ambient, basis: Sequence[AlgebraElement]):
         self.ambient = ambient
@@ -500,6 +504,14 @@ class Subspace:
         for el in self.basis:
             if not ambient.compatible(el.ambient):
                 raise AmbientError("basis element lives in an incompatible ambient")
+        # Each row leads with its pivot at coefficient 1, pivots increase, and
+        # no row holds another row's pivot.
+        pivots = [el.items[0][0] if el.items and el.items[0][1] == 1 else None
+                  for el in self.basis]
+        pivot_set = set(pivots)
+        if (None in pivots or any(p >= q for p, q in zip(pivots, pivots[1:]))
+                or any(sum(k in pivot_set for k, _ in el.items) != 1 for el in self.basis)):
+            raise AmbientError("subspace basis is not in reduced row echelon form")
 
     @property
     def dim(self) -> int:

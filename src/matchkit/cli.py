@@ -13,6 +13,7 @@ import argparse
 import json
 import os
 import sys
+from functools import partial
 from typing import Optional
 
 from . import __version__
@@ -26,15 +27,15 @@ from .linear import (InvariantViolationError, MatchBasisInconclusiveError,
                      OrderedBasis, StrongMatchingRequiredError,
                      UnityInTargetError, find_acyclic_linear_matching,
                      find_scaling, match_basis, strong_matching_report)
-from .matching import (DEFAULT_ENUMERATION_CAP, MatchingExistsError,
+from .matching import (DEFAULT_ENUMERATION_CAP, Matching, MatchingExistsError,
                        PairValidationError, SizeCapError, SubsetPair,
-                       enumerate_matchings, find_acyclic_matching,
-                       find_matching, hall_violator)
+                       _match_or_violator, compatibility_graph,
+                       enumerate_matchings, find_acyclic_matching)
 from .primes import (DEFAULT_ENUMERATION_BUDGET, PrimePreconditionError,
                      acyclic_property_scan, family_table, lemma_2_1_audit)
-from .relative import (MultiplicityMismatchError, TupleOfElements,
-                       find_relative_matching, push_forward,
-                       relative_hall_violator, verify_hom_transfer)
+from .relative import (MultiplicityMismatchError, RelativeMatching,
+                       TupleOfElements, _validated_graph, push_forward,
+                       verify_hom_transfer)
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
@@ -110,11 +111,10 @@ def _encode_elements(elements) -> dict:
 
 def _run_match_find(args) -> tuple[dict, int]:
     pair = SubsetPair.from_json(_read_json(args.pair))
-    m = find_matching(pair)
+    m, violator = _match_or_violator(compatibility_graph(pair), partial(Matching, pair))
     if m is not None:
         return {"matching": m.to_json(), "hall_violator": None}, EXIT_OK
     g = pair.group
-    violator = hall_violator(pair)
     return {"matching": None,
             "hall_violator": [g.element_to_json(pair.A[i]) for i in violator]}, EXIT_OK
 
@@ -162,10 +162,10 @@ def _run_relative_find(args) -> tuple[dict, int]:
     a = TupleOfElements(group, [group.canon(v) for v in doc.get("a", [])])
     b = TupleOfElements(group, [group.canon(v) for v in doc.get("b", [])])
     subgroup = Subgroup(group, [group.canon(v) for v in doc.get("subgroup", [])])
-    rm = find_relative_matching(a, b, subgroup)
+    rm, violator = _match_or_violator(_validated_graph(a, b, subgroup),
+                                      partial(RelativeMatching, a, b, subgroup))
     if rm is not None:
         return {"matching": {"sigma": list(rm.sigma)}, "hall_violator": None}, EXIT_OK
-    violator = relative_hall_violator(a, b, subgroup)
     return {"matching": None, "hall_violator": list(violator)}, EXIT_OK
 
 

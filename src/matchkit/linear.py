@@ -2,8 +2,7 @@
 
 An ordered basis (a_1..a_n) of A is matched to an ordered basis (b_1..b_n)
 of B when for each i every x in B with a_i*x in A already lies in the span
-of the b_j with j != i.  The membership sets U_i = {x in B : a_i*x in A}
-are computed as linear conditions; nothing is ever inverted.
+of the b_j with j != i.
 
 A strong matching is a linear isomorphism f: A -> B that matches every
 ordered basis of A to its image.  One exists exactly when no nonzero
@@ -13,6 +12,12 @@ exact certificates (disjoint product span, explicit witnesses, a complete
 pencil analysis whenever one side has dimension at most two) over a
 best-effort search, and reports when its positive answer is not backed by
 a decisive certificate.
+
+Both questions read one residual tensor R[i][j] = reduce_A(a_i*y_j), y_j the
+canonical basis of B, with each product computed once per call.  Row i has
+kernel U_i = {x in B : a_i*x in A}: (b_j) is matched when the i-th coordinate
+functional of (b_j) vanishes on U_i for every i, Hall violators stack rows,
+and the strong-matching pencils read one index as a moving vector.
 """
 
 from __future__ import annotations
@@ -26,9 +31,8 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .algebra import (AlgebraElement, AmbientError, LaurentAmbient, Subspace,
-                      divide, echelonize, integer_determinant, intersect,
-                      invert_matrix, kernel_basis, minkowski_span, rref,
-                      solve_linear, _frame)
+                      divide, echelonize, integer_determinant, invert_matrix,
+                      kernel_basis, rref, solve_linear, _frame)
 
 HALL_SUBSET_CAP = 12
 DEFAULT_RETRIES = 200
@@ -50,6 +54,16 @@ class InvariantViolationError(RuntimeError):
 
 class MatchBasisInconclusiveError(RuntimeError):
     """Randomized construction exhausted retries beyond the certificate cap."""
+
+
+def _combination(coeffs: Sequence[Fraction], elements: Sequence[AlgebraElement],
+                 ambient) -> AlgebraElement:
+    """sum(c_k * elements[k]), accumulated from zero in the given ambient."""
+    acc = AlgebraElement(ambient, {})
+    for c, el in zip(coeffs, elements):
+        if c != 0:
+            acc = acc + el.scale(c)
+    return acc
 
 
 class OrderedBasis:
@@ -93,11 +107,7 @@ class OrderedBasis:
         return solve_linear(self._solve_rows, rhs)
 
     def element_from_coords(self, coords: Sequence[Fraction]) -> AlgebraElement:
-        acc = AlgebraElement(self.subspace.ambient, {})
-        for c, el in zip(coords, self.elements):
-            if c != 0:
-                acc = acc + el.scale(c)
-        return acc
+        return _combination(coords, self.elements, self.subspace.ambient)
 
     def omit(self, index: int) -> Subspace:
         """Span of the basis with one element left out."""
@@ -241,6 +251,85 @@ def members_with_products_in(space: Subspace,
     return echelonize(space.ambient, vecs)
 
 
+class _Residual:
+    """The residual tensor R[i][j] = reduce_A(x_i * y_j), for x_1..x_n an
+    ordered basis of A and y_1..y_m the canonical basis of B.
+
+    Rows are built on first use, each product once, kept beside its residual.
+    ``reduce`` is a projection with kernel A (Subspace is in RREF), so row i
+    has kernel U_i = {y in B : x_i*y in A}, in canonical coordinates of B.
+    """
+
+    def __init__(self, a_elements: Sequence[AlgebraElement], a_space: Subspace,
+                 b_space: Subspace):
+        self.a_elements = tuple(a_elements)
+        self.a_space, self.b_space = a_space, b_space
+        self._rows, self._kernels, self._pencils = {}, {}, {}
+        self.frame: list[int] = []
+
+    def row(self, i: int) -> tuple[list[AlgebraElement], list[AlgebraElement]]:
+        """The products x_i*y_j and their residuals modulo A."""
+        if i not in self._rows:
+            products = [self.a_elements[i] * y for y in self.b_space.basis]
+            self._rows[i] = (products, [self.a_space.reduce(p) for p in products])
+        return self._rows[i]
+
+    def equations(self, i: int) -> list[list[Fraction]]:
+        """Row i as equations on canonical coordinates of B, one per key."""
+        residuals = self.row(i)[1]
+        return [[r.coefficient(key) for r in residuals] for key in _frame(residuals)]
+
+    def kernel(self, i: int) -> list[list[Fraction]]:
+        """A basis of U_i in canonical coordinates of B."""
+        if i not in self._kernels:
+            self._kernels[i] = kernel_basis(self.equations(i), self.b_space.dim)
+        return self._kernels[i]
+
+    def matched_by(self, bbasis: OrderedBasis) -> bool:
+        """Whether each U_i lies in the span of the b_j with j != i, that is,
+        whether the i-th coordinate functional of bbasis vanishes on U_i."""
+        # In RREF, coordinates over the canonical basis are the pivot coefficients.
+        pivots = [row.items[0][0] for row in self.b_space.basis]
+        functionals = invert_matrix([[b.coefficient(p) for b in bbasis.elements]
+                                     for p in pivots])
+        return all(not any(sum(map(operator.mul, phi, u)) for u in self.kernel(i))
+                   for i, phi in enumerate(functionals))
+
+    def hall_violator(self) -> Optional[tuple[int, ...]]:
+        """The first 1-based index set I, smallest first and then
+        lexicographic, whose rows have a common kernel of dimension above
+        n - |I| (that is, stacked rank below |I|); or None."""
+        n = len(self.a_elements)
+        equations = [self.equations(i) for i in range(n)]
+        stacked: dict[tuple[int, ...], list[list[Fraction]]] = {(): []}
+        for size in range(1, n + 1):
+            for subset in itertools.combinations(range(n), size):
+                reduced, pivots = rref(stacked[subset[:-1]] + equations[subset[-1]])
+                stacked[subset] = reduced
+                if len(pivots) < size:
+                    return tuple(i + 1 for i in subset)
+        return None
+
+    def pencil(self, side: str) -> list[list[list[Fraction]]]:
+        """The residuals over ``frame`` as a pencil, indexed [column][variable]:
+        side "b" varies b over B with columns indexed by the basis of A, side
+        "a" is the transpose."""
+        if not self._pencils:
+            rows = [self.row(i)[1] for i in range(len(self.a_elements))]
+            self.frame = _frame(r for row in rows for r in row)
+            dense = [[r.to_dense(self.frame) for r in row] for row in rows]
+            self._pencils = {"b": dense, "a": [list(col) for col in zip(*dense)]}
+        return self._pencils[side]
+
+    def disjoint_product_span(self) -> bool:
+        """Whether the span of all products meets A only in zero: reduce_A
+        has kernel A, so exactly when the residuals span as much."""
+        rows = [self.row(i) for i in range(len(self.a_elements))]
+        ambient = self.a_space.ambient
+        products = echelonize(ambient, [p for ps, _ in rows for p in ps])
+        return echelonize(ambient, [r for _, rs in rows for r in rs]).dim == products.dim
+
+
 def is_matched_basis(abasis: OrderedBasis, bbasis: OrderedBasis) -> bool:
     """Check the matched-basis condition for the two ordered bases."""
     if abasis.n != bbasis.n:
@@ -249,11 +338,7 @@ def is_matched_basis(abasis: OrderedBasis, bbasis: OrderedBasis) -> bool:
     b_space = bbasis.subspace
     if not a_space.ambient.compatible(b_space.ambient):
         raise AmbientError("subspaces live in incompatible ambients")
-    for i in range(abasis.n):
-        u_i = members_with_products_in(b_space, [(abasis.elements[i], a_space)])
-        if not bbasis.omit(i).contains_subspace(u_i):
-            return False
-    return True
+    return _Residual(abasis.elements, a_space, b_space).matched_by(bbasis)
 
 
 def linear_hall_violator(abasis: OrderedBasis, b_space: Subspace) -> Optional[tuple[int, ...]]:
@@ -265,20 +350,7 @@ def linear_hall_violator(abasis: OrderedBasis, b_space: Subspace) -> Optional[tu
         raise AmbientError(f"violator search supports n <= {HALL_SUBSET_CAP}")
     if b_space.dim != n:
         raise AmbientError("B must have the same dimension as the basis of A")
-    a_space = abasis.subspace
-    singles = [members_with_products_in(b_space, [(abasis.elements[i], a_space)])
-               for i in range(n)]
-    memo: dict[tuple[int, ...], Subspace] = {}
-    for size in range(1, n + 1):
-        for subset in itertools.combinations(range(n), size):
-            if size == 1:
-                space = singles[subset[0]]
-            else:
-                space = intersect(memo[subset[:-1]], singles[subset[-1]])
-            memo[subset] = space
-            if space.dim > n - size:
-                return tuple(i + 1 for i in subset)
-    return None
+    return _Residual(abasis.elements, abasis.subspace, b_space).hall_violator()
 
 
 @dataclass
@@ -293,30 +365,13 @@ class MatchBasisResult:
         return self.basis is not None
 
 
-def _annihilator(b_space: Subspace, u: Subspace) -> list[list[Fraction]]:
-    """Functionals on B (coordinate vectors over the canonical basis of B)
-    vanishing on the subspace u."""
-    n = b_space.dim
-    rows = []
-    for vec in u.basis:
-        coords = b_space.coordinates(vec)
-        if coords is None:
-            raise AmbientError("membership subspace left B; inconsistent inputs")
-        rows.append(coords)
-    if not rows:
-        return [[Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
-    return kernel_basis(rows, n)
-
-
 def _dual_basis(b_space: Subspace, functional_rows: list[list[Fraction]]) -> Optional[OrderedBasis]:
     inv = invert_matrix([list(r) for r in functional_rows])
     if inv is None:
         return None
-    n = b_space.dim
-    canonical = OrderedBasis.canonical(b_space)
-    elements = [canonical.element_from_coords([inv[k][j] for k in range(n)])
-                for j in range(n)]
-    return OrderedBasis(b_space, elements)
+    # Column j of the inverse holds the canonical coordinates of b_j.
+    return OrderedBasis(b_space, [_combination(col, b_space.basis, b_space.ambient)
+                                  for col in zip(*inv)])
 
 
 def match_basis(abasis: OrderedBasis, b_space: Subspace, *,
@@ -330,41 +385,43 @@ def match_basis(abasis: OrderedBasis, b_space: Subspace, *,
     When a Hall-type violator exists the result reports it instead.
     """
     n = abasis.n
-    a_space = abasis.subspace
     if b_space.dim != n:
         raise AmbientError("B must have the same dimension as the basis of A")
     if b_space.contains(b_space.ambient.unity()):
         raise UnityInTargetError("B contains the unity; no matched basis can exist")
+    residual = _Residual(abasis.elements, abasis.subspace, b_space)
     if n <= HALL_SUBSET_CAP:
-        violator = linear_hall_violator(abasis, b_space)
+        violator = residual.hall_violator()
         if violator is not None:
             return MatchBasisResult(None, violator, 0)
-    singles = [members_with_products_in(b_space, [(abasis.elements[i], a_space)])
-               for i in range(n)]
-    annihilators = [_annihilator(b_space, u) for u in singles]
+    # Functionals on B vanishing on U_i, over the canonical basis of B.
+    annihilators = [kernel_basis(residual.kernel(i), n) for i in range(n)]
     rng = random.Random(seed)
     attempts = 0
     for _ in range(retries):
         attempts += 1
-        functional_rows = []
-        for ann in annihilators:
-            row = [Fraction(0)] * n
-            for vec in ann:
-                c = rng.randint(-9, 9)
-                if c:
-                    row = [r + c * v for r, v in zip(row, vec)]
-            functional_rows.append(row)
+        functional_rows = [_mix([rng.randint(-9, 9) for _ in ann], ann, n)
+                           for ann in annihilators]
         candidate = _dual_basis(b_space, functional_rows)
         if candidate is None:
             continue
-        if is_matched_basis(abasis, candidate):
+        if residual.matched_by(candidate):
             return MatchBasisResult(candidate, None, attempts)
     if n <= 6:
         candidate = _deterministic_transversal(b_space, annihilators)
-        if candidate is not None and is_matched_basis(abasis, candidate):
+        if candidate is not None and residual.matched_by(candidate):
             return MatchBasisResult(candidate, None, attempts + 1)
     raise MatchBasisInconclusiveError(
         "matched-basis construction exhausted its retries without a certificate")
+
+
+def _mix(coeffs: Sequence[int], vectors: list[list[Fraction]], n: int) -> list[Fraction]:
+    """The linear combination of the length-n vectors."""
+    row = [Fraction(0)] * n
+    for c, vec in zip(coeffs, vectors):
+        if c:
+            row = [r + c * v for r, v in zip(row, vec)]
+    return row
 
 
 def _deterministic_transversal(b_space: Subspace,
@@ -393,10 +450,7 @@ def _deterministic_transversal(b_space: Subspace,
                 return False
             if not any(combo):
                 continue
-            row = [Fraction(0)] * n
-            for c, vec in zip(combo, annihilators[i]):
-                if c:
-                    row = [r + c * v for r, v in zip(row, vec)]
+            row = _mix(combo, annihilators[i], n)
             if all(v == 0 for v in row):
                 continue
             chosen.append(row)
@@ -471,86 +525,33 @@ class StrongMatchingReport:
     decisive: bool
 
 
-class _Pencil:
-    """Columns of the map y -> y*b(beta) reduced mod A, linear in beta.
-
-    ``side`` selects which subspace supplies the variable vector: side "b"
-    varies b over B with columns indexed by the basis of A, side "a" varies
-    a over A with columns indexed by the basis of B.
-    """
-
-    def __init__(self, a_space: Subspace, b_space: Subspace, side: str):
-        self.a_space = a_space
-        self.b_space = b_space
-        self.side = side
-        reduced = [[a_space.reduce(x * y) for y in b_space.basis]
-                   for x in a_space.basis]
-        if side == "b":
-            self.nvars = b_space.dim
-            self.ncols = a_space.dim
-            # residual of column i at variable j
-            self.parts = [[reduced[i][j] for j in range(self.nvars)]
-                          for i in range(self.ncols)]
-        else:
-            self.nvars = a_space.dim
-            self.ncols = b_space.dim
-            self.parts = [[reduced[j][i] for j in range(self.nvars)]
-                          for i in range(self.ncols)]
-        frame: set[int] = set()
-        for col in self.parts:
-            for r in col:
-                frame.update(r.support())
-        self.frame = sorted(frame)
-        self.dense = [[[r.coefficient(key) for key in self.frame] for r in col]
-                      for col in self.parts]
-
-    def matrix_at(self, beta: Sequence[Fraction]) -> list[list[Fraction]]:
-        rows = []
-        for r in range(len(self.frame)):
-            row = []
-            for i in range(self.ncols):
-                acc = Fraction(0)
-                for j in range(self.nvars):
-                    if beta[j]:
-                        acc += beta[j] * self.dense[i][j][r]
-                row.append(acc)
-            rows.append(row)
-        return rows
-
-    def variable_element(self, beta: Sequence[Fraction]) -> AlgebraElement:
-        basis = self.b_space.basis if self.side == "b" else self.a_space.basis
-        acc = AlgebraElement(self.a_space.ambient, {})
-        for c, el in zip(beta, basis):
-            if c != 0:
-                acc = acc + el.scale(c)
-        return acc
-
-    def kernel_witness(self, beta: Sequence[Fraction]) -> Optional[ProductWitness]:
-        """A genuine witness at this variable value, if the pencil drops rank
-        and some kernel vector gives a nonzero product."""
-        if all(c == 0 for c in beta):
-            return None
-        matrix = self.matrix_at(beta)
-        kernel = kernel_basis(matrix, self.ncols)
-        if not kernel:
-            return None
-        moving = self.variable_element(beta)
-        fixed_basis = (self.a_space.basis if self.side == "b" else self.b_space.basis)
-        for combo in kernel:
-            partner = AlgebraElement(self.a_space.ambient, {})
-            for c, el in zip(combo, fixed_basis):
-                if c != 0:
-                    partner = partner + el.scale(c)
-            if partner.is_zero:
-                continue
-            product = partner * moving if self.side == "b" else moving * partner
-            if not product.is_zero:
-                if not self.a_space.contains(product):
-                    raise AssertionError("pencil kernel produced a product outside A")
-                if self.side == "b":
-                    return ProductWitness(partner, moving, product)
-                return ProductWitness(moving, partner, product)
+def _kernel_witness(residual: _Residual, side: str,
+                    beta: Sequence[Fraction]) -> Optional[ProductWitness]:
+    """A genuine witness at this value of the moving vector, if the pencil
+    drops rank there and some kernel vector gives a nonzero product."""
+    if all(c == 0 for c in beta):
         return None
+    dense = residual.pencil(side)
+    matrix = [[sum((c * part[r] for c, part in zip(beta, col) if c), Fraction(0))
+               for col in dense] for r in range(len(residual.frame))]
+    kernel = kernel_basis(matrix, len(dense))
+    if not kernel:
+        return None
+    a_space = residual.a_space
+    a_basis, b_basis = a_space.basis, residual.b_space.basis
+    moving_basis, fixed_basis = (b_basis, a_basis) if side == "b" else (a_basis, b_basis)
+    moving = _combination(beta, moving_basis, a_space.ambient)
+    for combo in kernel:
+        partner = _combination(combo, fixed_basis, a_space.ambient)
+        if partner.is_zero:
+            continue
+        a, b = (partner, moving) if side == "b" else (moving, partner)
+        product = a * b
+        if not product.is_zero:
+            if not a_space.contains(product):
+                raise AssertionError("pencil kernel produced a product outside A")
+            return ProductWitness(a, b, product)
+    return None
 
 
 def _poly_trim(poly: Sequence[Fraction]) -> list[Fraction]:
@@ -684,22 +685,22 @@ def _poly_eval(poly: Sequence[Fraction], x: Fraction) -> Fraction:
     return acc
 
 
-def _gram_determinant(pencil: _Pencil, axis: int) -> list[Fraction]:
-    """det(M^T M) for beta = e_other + s*e_axis as a polynomial in s.
+def _gram_determinant(residual: _Residual, side: str, axis: int) -> list[Fraction]:
+    """det(M^T M) for beta = e_other + s*e_axis as a polynomial in s, where
+    M is the pencil of the given side at beta.
 
     Only meaningful for two-variable pencils; axis selects which of the two
     variables carries s.  With one common denominator cleared, the degree
     <= 2m polynomial is sampled at s = 0..2m by integer determinants and
     recovered by exact Newton interpolation.
     """
+    dense = residual.pencil(side)
     other = 1 - axis
-    m = pencil.ncols
+    m = len(dense)
     degree = 2 * m
-    den = math.lcm(*(v.denominator for col in pencil.dense for part in col for v in part))
-    const = [[v.numerator * (den // v.denominator) for v in col[other]]
-             for col in pencil.dense]
-    slope = [[v.numerator * (den // v.denominator) for v in col[axis]]
-             for col in pencil.dense]
+    den = math.lcm(*(v.denominator for col in dense for part in col for v in part))
+    const = [[v.numerator * (den // v.denominator) for v in col[other]] for col in dense]
+    slope = [[v.numerator * (den // v.denominator) for v in col[axis]] for col in dense]
     values = []
     for s in range(degree + 1):
         cols = [[c + s * d for c, d in zip(ci, si)] for ci, si in zip(const, slope)]
@@ -721,8 +722,9 @@ def _gram_determinant(pencil: _Pencil, axis: int) -> list[Fraction]:
     return [Fraction(c, scale * den ** degree) for c in coeffs]
 
 
-def _two_variable_decision(pencil: _Pencil) -> tuple[bool, Optional[ProductWitness]]:
-    """Exact witness decision for a two-variable pencil.
+def _two_variable_decision(residual: _Residual,
+                           side: str) -> tuple[bool, Optional[ProductWitness]]:
+    """Exact witness decision for the two-variable pencil of the given side.
 
     Returns (decisive, witness).  The rank-drop locus of a two-variable
     pencil is cut out by one univariate polynomial per affine patch, whose
@@ -731,23 +733,20 @@ def _two_variable_decision(pencil: _Pencil) -> tuple[bool, Optional[ProductWitne
     zero divisors, only finitely many of the everywhere-degenerate
     directions can be probed for a nonzero product.
     """
-    unit0 = [Fraction(1), Fraction(0)]
-    unit1 = [Fraction(0), Fraction(1)]
     candidates: list[list[Fraction]] = []
-    poly = _gram_determinant(pencil, axis=1)
+    poly = _gram_determinant(residual, side, axis=1)
     vanishes = not any(c != 0 for c in poly)
     if vanishes:
         # Every direction (1, s) drops rank; probe small values of s.
         candidates.extend([Fraction(1), Fraction(s)] for s in range(0, 8))
     else:
         candidates.extend([Fraction(1), root] for root in _rational_roots(poly))
-    candidates.append(unit1)
-    candidates.append(unit0)
+    candidates += [[Fraction(0), Fraction(1)], [Fraction(1), Fraction(0)]]
     for beta in candidates:
-        witness = pencil.kernel_witness(beta)
+        witness = _kernel_witness(residual, side, beta)
         if witness is not None:
             return True, witness
-    if vanishes and not isinstance(pencil.a_space.ambient, LaurentAmbient):
+    if vanishes and not isinstance(residual.a_space.ambient, LaurentAmbient):
         return False, None
     return True, None
 
@@ -769,45 +768,42 @@ def strong_matching_report(a_space: Subspace, b_space: Subspace,
         raise AmbientError("subspaces live in incompatible ambients")
     if a_space.is_zero or b_space.is_zero:
         raise AmbientError("strong matchings need nonzero subspaces")
-    if intersect(minkowski_span(a_space, b_space), a_space).is_zero:
+    residual = _Residual(a_space.basis, a_space, b_space)
+    if residual.disjoint_product_span():
         return StrongMatchingReport(True, "disjoint-product-span", None, True)
-    pencils = {"b": _Pencil(a_space, b_space, "b"),
-               "a": _Pencil(a_space, b_space, "a")}
+    nvars = {"b": b_space.dim, "a": a_space.dim}
     # Unit directions: products of one basis vector with the opposite space.
     for side in ("b", "a"):
-        pencil = pencils[side]
-        for j in range(pencil.nvars):
-            beta = [Fraction(1 if k == j else 0) for k in range(pencil.nvars)]
-            witness = pencil.kernel_witness(beta)
+        for j in range(nvars[side]):
+            beta = [Fraction(1 if k == j else 0) for k in range(nvars[side])]
+            witness = _kernel_witness(residual, side, beta)
             if witness is not None:
                 return StrongMatchingReport(False, "basis-witness", witness, True)
     # Random probes catch identically degenerate pencils.
     rng = random.Random(probe_seed)
     for side in ("b", "a"):
-        pencil = pencils[side]
         for _ in range(6):
-            beta = [Fraction(rng.randint(-19, 19)) for _ in range(pencil.nvars)]
-            witness = pencil.kernel_witness(beta)
+            beta = [Fraction(rng.randint(-19, 19)) for _ in range(nvars[side])]
+            witness = _kernel_witness(residual, side, beta)
             if witness is not None:
                 return StrongMatchingReport(False, "probe-witness", witness, True)
     for side in ("b", "a"):
-        pencil = pencils[side]
-        if pencil.nvars == 1:
+        if nvars[side] == 1:
             # Scaling the only direction rescales the same kernel condition,
             # and the unit sweep above already checked it.
             return StrongMatchingReport(True, "single-direction", None, True)
-        if pencil.nvars == 2:
-            decisive, witness = _two_variable_decision(pencil)
+        if nvars[side] == 2:
+            decisive, witness = _two_variable_decision(residual, side)
             if witness is not None:
                 return StrongMatchingReport(False, "pencil-witness", witness, True)
             if decisive:
                 return StrongMatchingReport(True, "no-rational-witness", None, True)
-    smaller = min(pencils.values(), key=lambda p: p.nvars)
-    radius = _GRID_BY_VARS.get(smaller.nvars, 1)
-    for combo in itertools.product(range(-radius, radius + 1), repeat=smaller.nvars):
+    smaller = min(nvars, key=nvars.get)
+    radius = _GRID_BY_VARS.get(nvars[smaller], 1)
+    for combo in itertools.product(range(-radius, radius + 1), repeat=nvars[smaller]):
         if not any(combo):
             continue
-        witness = smaller.kernel_witness([Fraction(c) for c in combo])
+        witness = _kernel_witness(residual, smaller, [Fraction(c) for c in combo])
         if witness is not None:
             return StrongMatchingReport(False, "grid-witness", witness, True)
     return StrongMatchingReport(True, "no-witness-found", None, False)

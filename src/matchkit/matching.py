@@ -9,8 +9,10 @@ multiplicity function).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Iterator, Literal, Optional, Sequence
+from collections import Counter
+from dataclasses import dataclass
+from functools import partial
+from typing import Callable, Iterator, Literal, Optional, Sequence, TypeVar
 
 from .groups import Element, Group, WindowOverflowError, group_from_json
 
@@ -18,6 +20,7 @@ from .groups import Element, Group, WindowOverflowError, group_from_json
 ENUMERATION_SIZE_CAP = 20
 DEFAULT_ENUMERATION_CAP = 100_000
 ACYCLIC_PROBE_LIMIT = 2_000
+T = TypeVar("T")
 
 
 class PairValidationError(ValueError):
@@ -239,17 +242,35 @@ class Matching:
         return f"Matching(sigma={self.sigma})"
 
 
-def find_matching(pair: SubsetPair) -> Optional[Matching]:
-    """A matching from A to B, or None; deterministic in the index order."""
-    adj = compatibility_graph(pair)
-    n = pair.size
+def _solve(adj: Sequence[Sequence[int]]) -> tuple[Optional[list[int]], list[int]]:
+    """One maximum matching run: (sigma, match_b), sigma None unless perfect."""
+    n = len(adj)
     match_b = _maximum_matching(adj, n)
-    if sum(1 for i in match_b if i >= 0) < n:
-        return None
+    if -1 in match_b:
+        return None, match_b
     sigma = [-1] * n
     for j, i in enumerate(match_b):
         sigma[i] = j
-    return Matching(pair, sigma)
+    return sigma, match_b
+
+
+def _match_or_violator(adj: Sequence[Sequence[int]], build: Callable[[list[int]], T]
+                       ) -> tuple[Optional[T], Optional[tuple[int, ...]]]:
+    """build(sigma) for a perfect matching, or else a Hall violator (the A-side
+    of the alternating cut, checked), from one matching run on the graph."""
+    sigma, match_b = _solve(adj)
+    if sigma is not None:
+        return build(sigma), None
+    cut = _hall_cut(adj, match_b, len(adj))
+    if len(set().union(*(adj[i] for i in cut))) >= len(cut):
+        raise AssertionError("alternating cut failed to certify the Hall violation")
+    return None, tuple(cut)
+
+
+def find_matching(pair: SubsetPair) -> Optional[Matching]:
+    """A matching from A to B, or None; deterministic in the index order."""
+    sigma, _ = _solve(compatibility_graph(pair))
+    return None if sigma is None else Matching(pair, sigma)
 
 
 def hall_violator(pair: SubsetPair) -> tuple[int, ...]:
@@ -257,18 +278,10 @@ def hall_violator(pair: SubsetPair) -> tuple[int, ...]:
 
     Only valid when no matching exists; raises MatchingExistsError otherwise.
     """
-    adj = compatibility_graph(pair)
-    n = pair.size
-    match_b = _maximum_matching(adj, n)
-    if sum(1 for i in match_b if i >= 0) == n:
+    _, cut = _match_or_violator(compatibility_graph(pair), partial(Matching, pair))
+    if cut is None:
         raise MatchingExistsError("a matching exists; there is no Hall violator")
-    cut = _hall_cut(adj, match_b, n)
-    neighborhood = set()
-    for i in cut:
-        neighborhood.update(adj[i])
-    if len(neighborhood) >= len(cut):
-        raise AssertionError("alternating cut failed to certify the Hall violation")
-    return tuple(cut)
+    return cut
 
 
 def _sigma_stream(adj: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
@@ -357,6 +370,13 @@ def is_acyclic(matching: Matching) -> bool:
     return count == 1
 
 
+def _singleton_classes(matchings: Sequence[Matching]) -> list[Matching]:
+    """The matchings, in order, whose product multiset no other matching in
+    the complete list shares: exactly the acyclic ones."""
+    counts = Counter(m._product_key() for m in matchings)
+    return [m for m in matchings if counts[m._product_key()] == 1]
+
+
 @dataclass
 class AcyclicSearch:
     """Outcome of a search for an acyclic matching."""
@@ -378,19 +398,10 @@ def find_acyclic_matching(pair: SubsetPair, cap: int = DEFAULT_ENUMERATION_CAP) 
     enum = enumerate_matchings(pair, cap)
     matchings = enum.matchings
     if not enum.truncated:
-        classes: dict[tuple, int] = {}
-        for m in matchings:
-            key = m._product_key()
-            classes[key] = classes.get(key, 0) + 1
-        acyclic_count = 0
-        first = None
-        for m in matchings:
-            if classes[m._product_key()] == 1:
-                acyclic_count += 1
-                if first is None:
-                    first = m
-        if first is not None:
-            return AcyclicSearch("found", first, len(matchings), len(matchings), acyclic_count)
+        acyclic = _singleton_classes(matchings)
+        if acyclic:
+            return AcyclicSearch("found", acyclic[0], len(matchings), len(matchings),
+                                 len(acyclic))
         return AcyclicSearch("absent", None, len(matchings), len(matchings), 0)
     # Truncated enumeration: acyclicity of each candidate is still decided
     # exactly (the constrained count is global), but absence cannot be, and

@@ -12,14 +12,14 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 from typing import Optional, Sequence
 
 import random
 
 from .groups import CyclicGroup, Element, Group
-from .matching import (AcyclicSearch, Matching, SubsetPair, enumerate_matchings,
+from .matching import (SubsetPair, _singleton_classes, enumerate_matchings,
                        find_acyclic_matching)
 
 DEFAULT_ENUMERATION_BUDGET = 200_000
@@ -102,11 +102,14 @@ class PrimeVerdict:
                 "acyclic_count": self.acyclic_count}
 
 
-def _exhaustive_fields(pair: SubsetPair, cap: int) -> tuple[bool, Optional[int], Optional[int]]:
+def _with_exhaustive_fields(verdict: PrimeVerdict, cap: int) -> PrimeVerdict:
+    pair = SubsetPair(CyclicGroup(verdict.p), verdict.subset, verdict.subset)
     search = find_acyclic_matching(pair, cap)
-    if search.status == "inconclusive":
-        return False, None, None
-    return True, search.total_matchings, search.acyclic_count
+    if search.status != "inconclusive":
+        verdict.exhaustive = True
+        verdict.total_matchings = search.total_matchings
+        verdict.acyclic_count = search.acyclic_count
+    return verdict
 
 
 def check_prop_2_2(p: int, *, enumeration_cap: int = DEFAULT_ENUMERATION_BUDGET) -> PrimeVerdict:
@@ -116,21 +119,7 @@ def check_prop_2_2(p: int, *, enumeration_cap: int = DEFAULT_ENUMERATION_BUDGET)
         raise PrimePreconditionError(f"{p} is not prime")
     if p % 8 != 7:
         raise PrimePreconditionError(f"p = {p} is not congruent to 7 mod 8")
-    subset = quadratic_residues(p)
-    sqrt_two = next((n for n in range(1, p) if n * n % p == 2), None)
-    certificate = {
-        "subset_size": len(subset),
-        "size_odd": len(subset) % 2 == 1,
-        "two_in_subset": 2 in subset,
-        "square_root_of_two": sqrt_two,
-        "doubling_closed": all((2 * a) % p in subset for a in subset),
-    }
-    if not (certificate["size_odd"] and certificate["two_in_subset"]):
-        raise AssertionError(f"certificate computation contradicts theory at p={p}")
-    pair = SubsetPair(CyclicGroup(p), subset, subset)
-    exhaustive, total, acyclic = _exhaustive_fields(pair, enumeration_cap)
-    return PrimeVerdict(p, "quadratic_residues", subset, certificate,
-                        exhaustive, total, acyclic)
+    return _with_exhaustive_fields(_certificate_2_2(p), enumeration_cap)
 
 
 def check_prop_2_3(p: int, *, enumeration_cap: int = DEFAULT_ENUMERATION_BUDGET) -> PrimeVerdict:
@@ -141,22 +130,10 @@ def check_prop_2_3(p: int, *, enumeration_cap: int = DEFAULT_ENUMERATION_BUDGET)
     order = multiplicative_order(2, p)
     if order % 2 == 0:
         raise PrimePreconditionError(f"2 has even order {order} mod {p}")
-    subset = two_power_subset(p)
-    certificate = {
-        "order_of_two": order,
-        "subset_size": len(subset),
-        "size_odd": len(subset) % 2 == 1,
-        "doubling_closed": all((2 * a) % p in subset for a in subset),
-    }
-    if not (certificate["size_odd"] and certificate["doubling_closed"]):
-        raise AssertionError(f"certificate computation contradicts theory at p={p}")
-    if len(subset) <= EXHAUSTIVE_SIZE_CAP:
-        pair = SubsetPair(CyclicGroup(p), subset, subset)
-        exhaustive, total, acyclic = _exhaustive_fields(pair, enumeration_cap)
-    else:
-        exhaustive, total, acyclic = False, None, None
-    return PrimeVerdict(p, "two_powers", subset, certificate,
-                        exhaustive, total, acyclic)
+    verdict = _certificate_2_3(p, order)
+    if len(verdict.subset) > EXHAUSTIVE_SIZE_CAP:
+        return verdict
+    return _with_exhaustive_fields(verdict, enumeration_cap)
 
 
 def family_table(family: str, upto: int, *,
@@ -174,32 +151,40 @@ def family_table(family: str, upto: int, *,
             if p % 8 != 7:
                 continue
             rows.append(check_prop_2_2(p, enumeration_cap=max(enumeration_cap, 1))
-                        if enumeration_cap else _certificate_only_2_2(p))
+                        if enumeration_cap else _certificate_2_2(p))
         elif family in ("23", "prop23", "two_powers"):
-            if p == 2 or multiplicative_order(2, p) % 2 == 0:
+            order = multiplicative_order(2, p)
+            if order % 2 == 0:
                 continue
             rows.append(check_prop_2_3(p, enumeration_cap=max(enumeration_cap, 1))
-                        if enumeration_cap else _certificate_only_2_3(p))
+                        if enumeration_cap else _certificate_2_3(p, order))
         else:
             raise ValueError(f"unknown family {family!r}")
     return rows
 
 
-def _certificate_only_2_2(p: int) -> PrimeVerdict:
+def _certificate_2_2(p: int) -> PrimeVerdict:
+    """Certificate facts for p = 7 (mod 8), without the exhaustive search."""
     subset = quadratic_residues(p)
+    members = set(subset)
     sqrt_two = next((n for n in range(1, p) if n * n % p == 2), None)
     certificate = {"subset_size": len(subset), "size_odd": len(subset) % 2 == 1,
-                   "two_in_subset": 2 in subset, "square_root_of_two": sqrt_two,
-                   "doubling_closed": all((2 * a) % p in subset for a in subset)}
+                   "two_in_subset": 2 in members, "square_root_of_two": sqrt_two,
+                   "doubling_closed": all((2 * a) % p in members for a in subset)}
+    if not (certificate["size_odd"] and certificate["two_in_subset"]):
+        raise AssertionError(f"certificate computation contradicts theory at p={p}")
     return PrimeVerdict(p, "quadratic_residues", subset, certificate, False)
 
 
-def _certificate_only_2_3(p: int) -> PrimeVerdict:
-    order = multiplicative_order(2, p)
+def _certificate_2_3(p: int, order: int) -> PrimeVerdict:
+    """Certificate facts for odd ord_p(2) = order, without the exhaustive search."""
     subset = two_power_subset(p)
+    members = set(subset)
     certificate = {"order_of_two": order, "subset_size": len(subset),
                    "size_odd": len(subset) % 2 == 1,
-                   "doubling_closed": all((2 * a) % p in subset for a in subset)}
+                   "doubling_closed": all((2 * a) % p in members for a in subset)}
+    if not (certificate["size_odd"] and certificate["doubling_closed"]):
+        raise AssertionError(f"certificate computation contradicts theory at p={p}")
     return PrimeVerdict(p, "two_powers", subset, certificate, False)
 
 
@@ -220,15 +205,8 @@ def lemma_2_1_audit(group: Group, A: Sequence[Element], *,
     enum = enumerate_matchings(pair, enumeration_cap)
     if enum.truncated:
         raise ValueError("enumeration budget exhausted; audit inconclusive")
-    classes: dict[tuple, int] = {}
-    for m in enum.matchings:
-        key = m._product_key()
-        classes[key] = classes.get(key, 0) + 1
-    for m in enum.matchings:
-        if classes[m._product_key()] == 1:
-            if not any(m.sigma[i] == i for i in range(pair.size)):
-                return False
-    return True
+    return all(any(m.sigma[i] == i for i in range(pair.size))
+               for m in _singleton_classes(enum.matchings))
 
 
 @dataclass

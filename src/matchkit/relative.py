@@ -10,11 +10,12 @@ image tuples under a homomorphism eta.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .groups import (Element, Group, GroupValidationError, Homomorphism,
                      Subgroup)
-from .matching import _hall_cut, _maximum_matching
+from .matching import _match_or_violator, _solve
 
 
 class MultiplicityMismatchError(ValueError):
@@ -102,43 +103,43 @@ class RelativeMatching:
         return f"RelativeMatching(sigma={self.sigma})"
 
 
-def find_relative_matching(a: TupleOfElements, b: TupleOfElements,
-                           subgroup: Subgroup) -> Optional[RelativeMatching]:
-    """A matching of a to b relative to the normal subgroup N, or None."""
+def _relative_graph(a: TupleOfElements, b: TupleOfElements,
+                    subgroup: Subgroup) -> list[tuple[int, ...]]:
+    """Adjacency lists: j is admissible for i when a_i*b_j avoids every coset a_k*N."""
+    g = a.group
+    forbidden = _forbidden_set(a, subgroup)
+    n = len(a)
+    return [tuple(j for j in range(n)
+                  if g.op(a.entries[i], b.entries[j]) not in forbidden)
+            for i in range(n)]
+
+
+def _validated_graph(a: TupleOfElements, b: TupleOfElements,
+                     subgroup: Subgroup) -> list[tuple[int, ...]]:
     if a.group != b.group or a.group != subgroup.group:
         raise GroupValidationError("tuples and subgroup must share one group")
     if len(a) != len(b):
         raise GroupValidationError("tuples must have equal length")
     if not subgroup.is_normal():
         raise GroupValidationError("the subgroup must be normal")
-    g = a.group
-    forbidden = _forbidden_set(a, subgroup)
-    n = len(a)
-    adj = [tuple(j for j in range(n)
-                 if g.op(a.entries[i], b.entries[j]) not in forbidden)
-           for i in range(n)]
-    match_b = _maximum_matching(adj, n)
-    if sum(1 for i in match_b if i >= 0) < n:
-        return None
-    sigma = [-1] * n
-    for j, i in enumerate(match_b):
-        sigma[i] = j
-    return RelativeMatching(a, b, subgroup, sigma)
+    return _relative_graph(a, b, subgroup)
+
+
+def find_relative_matching(a: TupleOfElements, b: TupleOfElements,
+                           subgroup: Subgroup) -> Optional[RelativeMatching]:
+    """A matching of a to b relative to the normal subgroup N, or None."""
+    sigma, _ = _solve(_validated_graph(a, b, subgroup))
+    return None if sigma is None else RelativeMatching(a, b, subgroup, sigma)
 
 
 def relative_hall_violator(a: TupleOfElements, b: TupleOfElements,
                            subgroup: Subgroup) -> tuple[int, ...]:
     """Index set of a-positions with too small a joint neighborhood."""
-    g = a.group
-    forbidden = _forbidden_set(a, subgroup)
-    n = len(a)
-    adj = [tuple(j for j in range(n)
-                 if g.op(a.entries[i], b.entries[j]) not in forbidden)
-           for i in range(n)]
-    match_b = _maximum_matching(adj, n)
-    if sum(1 for i in match_b if i >= 0) == n:
+    _, cut = _match_or_violator(_relative_graph(a, b, subgroup),
+                                partial(RelativeMatching, a, b, subgroup))
+    if cut is None:
         raise GroupValidationError("a relative matching exists; no violator")
-    return tuple(_hall_cut(adj, match_b, n))
+    return cut
 
 
 def push_forward(hom: Homomorphism, tup: TupleOfElements) -> TupleOfElements:

@@ -283,6 +283,29 @@ class TestSubspace:
         again = subspace_from_json(u.to_json())
         assert again == u
 
+    def test_non_rref_basis_rejected(self):
+        bad_bases = [
+            [lel({0: 2, 1: 1})],                   # pivot coefficient is not 1
+            [tpow(1), tpow(0)],                    # pivots decrease
+            [tpow(1), lel({1: 1, 2: 1})],          # repeated pivot
+            [lel({0: 1, 1: 3}), tpow(1)],          # pivot 1 in another row
+            [lel({})],                             # zero row
+        ]
+        for basis in bad_bases:
+            with pytest.raises(AmbientError):
+                Subspace(LAURENT, basis)
+
+    def test_every_echelonize_result_constructs(self):
+        rng = random.Random(11)
+        amb = quartic_root_of_two()
+        for _ in range(40):
+            for ambient, keys in ((LAURENT, range(-2, 6)), (amb, range(4))):
+                vectors = [AlgebraElement(ambient, {k: rng.randint(-3, 3)
+                                                    for k in rng.sample(list(keys), 2)})
+                           for _ in range(rng.randint(0, 4))]
+                u = echelonize(ambient, vectors)
+                assert Subspace(ambient, u.basis) == u
+
     def test_contains_subspace(self):
         u = echelonize(LAURENT, [tpow(0), tpow(1), tpow(2)])
         v = echelonize(LAURENT, [lel({0: 1, 2: 3})])

@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from matchkit import __version__
+from matchkit import __version__, cli, matching
 from matchkit.algebra import LaurentAmbient, StructureConstantAmbient, echelonize
 from matchkit.cli import main
 
@@ -165,6 +165,21 @@ class TestMatchCommands:
         code, doc = run_json(capsys, ["match", "find", "--pair", z6_obstructed(tmp_path)])
         assert code == 0
         assert doc["result"] == {"matching": None, "hall_violator": [1, 4]}
+
+    def test_find_obstructed_runs_one_matching(self, capsys, tmp_path, monkeypatch):
+        calls = []
+        build = matching.compatibility_graph
+
+        def counting(pair):
+            calls.append(pair)
+            return build(pair)
+
+        for module in (matching, cli):
+            monkeypatch.setattr(module, "compatibility_graph", counting)
+        code, doc = run_json(capsys, ["match", "find", "--pair", z6_obstructed(tmp_path)])
+        assert code == 0
+        assert doc["result"]["hall_violator"] == [1, 4]
+        assert len(calls) == 1
 
     def test_find_forced_swap(self, capsys, tmp_path):
         pair = write_json(tmp_path, "pair.json",

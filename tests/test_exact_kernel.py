@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 from matchkit import AlgebraElement, LaurentAmbient, echelonize
 from matchkit.algebra import integer_determinant, kernel_basis, rref, solve_linear
-from matchkit.linear import _gram_determinant, _Pencil, _poly_trim, strong_matching_report
+from matchkit.linear import _gram_determinant, _poly_trim, _Residual, strong_matching_report
 
 sympy = pytest.importorskip("sympy")
 
@@ -119,7 +119,7 @@ def two_variable_pencils(draw):
     b_space = space([vec(b_keys) for _ in range(m)])
     if a_space.dim != 2 or b_space.is_zero:
         return None
-    return _Pencil(a_space, b_space, "a"), draw(st.integers(0, 1))
+    return _Residual(a_space.basis, a_space, b_space), draw(st.integers(0, 1))
 
 
 class TestGramDeterminant:
@@ -127,17 +127,19 @@ class TestGramDeterminant:
     @given(two_variable_pencils())
     def test_matches_symbolic_gram(self, case):
         assume(case is not None)
-        pencil, axis = case
+        residual, axis = case
+        dense = residual.pencil("a")
+        ncols = len(dense)
         s = sympy.Symbol("s")
         rat = lambda v: sympy.Rational(v.numerator, v.denominator)
-        matrix = sympy.Matrix(len(pencil.frame), pencil.ncols, lambda r, i: (
-            rat(pencil.dense[i][1 - axis][r]) + s * rat(pencil.dense[i][axis][r])))
-        if not pencil.frame:
-            matrix = sympy.zeros(0, pencil.ncols)
+        matrix = sympy.Matrix(len(residual.frame), ncols, lambda r, i: (
+            rat(dense[i][1 - axis][r]) + s * rat(dense[i][axis][r])))
+        if not residual.frame:
+            matrix = sympy.zeros(0, ncols)
         det = sympy.expand((matrix.T * matrix).det(method="berkowitz"))
         expected = [to_fraction(c) for c in reversed(sympy.Poly(det, s).all_coeffs())]
-        poly = _gram_determinant(pencil, axis)
-        assert len(poly) == 2 * pencil.ncols + 1
+        poly = _gram_determinant(residual, "a", axis)
+        assert len(poly) == 2 * ncols + 1
         assert _poly_trim(poly) == _poly_trim(expected)
 
 

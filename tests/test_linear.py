@@ -7,6 +7,7 @@ from fractions import Fraction
 import pytest
 
 from matchkit import (
+    AlgebraElement,
     AmbientError,
     InvariantViolationError,
     LaurentAmbient,
@@ -36,7 +37,8 @@ from matchkit import (
     strong_matching_report,
     violating_basis_pair,
 )
-from matchkit.linear import _deterministic_transversal, _annihilator, _rational_roots
+from matchkit.algebra import kernel_basis
+from matchkit.linear import _deterministic_transversal, _rational_roots, _Residual
 
 from conftest import LAURENT, lel, tpow
 
@@ -227,17 +229,27 @@ class TestIsMatchedBasis:
 
     def test_definition_directly(self):
         rng = random.Random(23)
-        for _ in range(15):
-            a = random_subspace(LAURENT, 2, range(0, 4), rng)
-            b = random_subspace(LAURENT, 2, range(2, 6), rng)
+        quartic = quartic_root_of_two()
+        pairs = [(random_subspace(LAURENT, 2, range(0, 4), rng),
+                  random_subspace(LAURENT, 2, range(2, 6), rng)) for _ in range(15)]
+        for n in range(1, 5):
+            for _ in range(6):
+                pairs.append((random_subspace(LAURENT, n, range(0, n + 2), rng),
+                              random_subspace(LAURENT, n, range(2, n + 4), rng)))
+                pairs.append((random_subspace(quartic, n, range(4), rng),
+                              random_subspace(quartic, n, range(4), rng)))
+        outcomes = set()
+        for a, b in pairs:
             abasis = random_ordered_basis(a, rng)
             bbasis = random_ordered_basis(b, rng)
             expected = True
-            for i in range(2):
+            for i in range(abasis.n):
                 u = members_with_products_in(b, [(abasis.elements[i], a)])
                 if not bbasis.omit(i).contains_subspace(u):
                     expected = False
             assert is_matched_basis(abasis, bbasis) == expected
+            outcomes.add(expected)
+        assert outcomes == {True, False}
 
 
 class TestLinearHallViolator:
@@ -315,9 +327,8 @@ class TestMatchBasis:
         a = span(tpow(0), tpow(1))
         b = span(tpow(1), tpow(2))
         abasis = OrderedBasis.canonical(a)
-        singles = [members_with_products_in(b, [(abasis.elements[i], a)])
-                   for i in range(2)]
-        annihilators = [_annihilator(b, u) for u in singles]
+        residual = _Residual(abasis.elements, a, b)
+        annihilators = [kernel_basis(residual.kernel(i), 2) for i in range(2)]
         candidate = _deterministic_transversal(b, annihilators)
         assert candidate is not None
         assert is_matched_basis(abasis, candidate)
@@ -327,6 +338,40 @@ class TestMatchBasis:
         b = span(tpow(2))
         with pytest.raises(AmbientError):
             match_basis(OrderedBasis.canonical(a), b)
+
+
+class TestProductCounts:
+    """Each product a_i*b_j is computed once per call."""
+
+    @pytest.fixture
+    def products(self, monkeypatch):
+        calls = []
+        multiply = AlgebraElement.__mul__
+
+        def counting(x, y):
+            calls.append(None)
+            return multiply(x, y)
+
+        monkeypatch.setattr(AlgebraElement, "__mul__", counting)
+        return calls
+
+    def test_match_basis_computes_each_product_once(self, products):
+        a = span(tpow(0), tpow(1), tpow(2))
+        b = span(lel({1: 1, 2: 1}), tpow(2), tpow(3))
+        result = match_basis(OrderedBasis.canonical(a), b)
+        assert result.found
+        assert len(products) == 9
+
+    def test_strong_report_computes_each_product_once(self, products):
+        a = span(lel({0: 3, 2: 3}), lel({1: -3, 2: -1}))
+        b = span(*(lel(dict(enumerate(v))) for v in (
+            [1, 0, 0, 3, 3, -1], [0, -1, 1, -2, 1, -2], [-1, -2, 3, -3, 1, 3],
+            [-1, 1, 2, 3, 1, -2], [-1, -3, 2, -3, 3, 2])))
+        assert (a.dim, b.dim) == (2, 5)
+        products.clear()
+        report = strong_matching_report(a, b)
+        assert report.certificate == "no-rational-witness"
+        assert len(products) == 10
 
 
 class TestContainsTranslate:
