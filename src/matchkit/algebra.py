@@ -491,6 +491,16 @@ def _frame(elements: Iterable[AlgebraElement]) -> list[Key]:
     return sorted(keys)
 
 
+def _window_json(ambient: Ambient, elements: Sequence[AlgebraElement], key: str) -> dict:
+    """The ambient and, under key, the elements' dense coefficient rows; a
+    Laurent ambient is narrowed to the tightest degree window holding them."""
+    if isinstance(ambient, LaurentAmbient):
+        keys = _frame(elements) or [0]
+        ambient = LaurentAmbient(keys[0], keys[-1])
+    keys = ambient.io_keys()
+    return {"ambient": ambient.to_json(), key: [el.to_json(keys) for el in elements]}
+
+
 class Subspace:
     """A finite-dimensional subspace held as a canonical echelonized basis.
 
@@ -558,14 +568,7 @@ class Subspace:
         return hash(tuple(el.items for el in self.basis))
 
     def to_json(self) -> dict:
-        keys = _frame(self.basis) or [0]
-        if isinstance(self.ambient, StructureConstantAmbient):
-            keys = self.ambient.io_keys()
-            return {"ambient": self.ambient.to_json(),
-                    "basis": [el.to_json(keys) for el in self.basis]}
-        window = LaurentAmbient(min(keys), max(keys))
-        return {"ambient": window.to_json(),
-                "basis": [el.to_json(window.io_keys()) for el in self.basis]}
+        return _window_json(self.ambient, self.basis, "basis")
 
     def __repr__(self) -> str:
         inside = ", ".join(el.format() for el in self.basis)

@@ -11,13 +11,12 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from functools import partial
 from typing import Optional
 
 from . import __version__
-from .algebra import (AmbientError, LaurentAmbient, NotInvertibleError,
+from .algebra import (AmbientError, NotInvertibleError, _window_json,
                       subspace_from_json)
 from .criteria import is_coset_free, prop_1_4_condition
 from .groups import (CyclicGroup, GroupTooLargeError, GroupValidationError,
@@ -72,14 +71,6 @@ def _read_json(path: str) -> dict:
     return doc
 
 
-def _threads() -> int:
-    raw = os.environ.get("MATCHKIT_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def _parse_int_list(text: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
@@ -88,22 +79,8 @@ def _parse_int_list(text: str) -> list[int]:
 
 
 def _encode_element(el) -> dict:
-    ambient = el.ambient
-    if isinstance(ambient, LaurentAmbient):
-        keys = list(el.support()) or [0]
-        window = LaurentAmbient(keys[0], keys[-1])
-        return {"ambient": window.to_json(), "coeffs": el.to_json(window.io_keys())}
-    return {"ambient": ambient.to_json(), "coeffs": el.to_json()}
-
-
-def _encode_elements(elements) -> dict:
-    ambient = elements[0].ambient
-    if isinstance(ambient, LaurentAmbient):
-        keys = sorted({k for el in elements for k in el.support()}) or [0]
-        window = LaurentAmbient(keys[0], keys[-1])
-        return {"ambient": window.to_json(),
-                "vectors": [el.to_json(window.io_keys()) for el in elements]}
-    return {"ambient": ambient.to_json(), "vectors": [el.to_json() for el in elements]}
+    doc = _window_json(el.ambient, [el], "coeffs")
+    return {**doc, "coeffs": doc["coeffs"][0]}
 
 
 # --- handlers (each returns a result document and an exit code) ------------
@@ -223,8 +200,9 @@ def _run_linear_match(args) -> tuple[dict, int]:
     a_space, b_space = _load_subspace_pair(args.pair)
     abasis = OrderedBasis.canonical(a_space)
     outcome = match_basis(abasis, b_space, retries=args.retries, seed=args.seed)
-    result = {"matched_basis": (_encode_elements(outcome.basis.elements)
-                                if outcome.basis else None),
+    basis = outcome.basis
+    result = {"matched_basis": (_window_json(a_space.ambient, basis.elements, "vectors")
+                                if basis else None),
               "violator": list(outcome.violator) if outcome.violator else None,
               "attempts": outcome.attempts}
     return result, EXIT_OK
@@ -256,8 +234,10 @@ def _run_linear_acyclic(args) -> tuple[dict, int]:
               "alpha": (_encode_element(outcome.alpha)
                         if outcome.alpha is not None else None),
               "iso": outcome.iso.to_json(),
-              "domain_basis": _encode_elements(outcome.iso.domain.elements),
-              "codomain_basis": _encode_elements(outcome.iso.codomain.elements),
+              "domain_basis": _window_json(a_space.ambient, outcome.iso.domain.elements,
+                                           "vectors"),
+              "codomain_basis": _window_json(b_space.ambient, outcome.iso.codomain.elements,
+                                             "vectors"),
               "acyclicity_claimed": outcome.acyclicity_claimed}
     return result, EXIT_OK
 
@@ -344,10 +324,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config_echo(args) -> dict:
-    config = {key: getattr(args, key) for key in _CONFIG_KEYS
-              if getattr(args, key, None) is not None}
-    config["threads"] = _threads()
-    return config
+    return {key: getattr(args, key) for key in _CONFIG_KEYS
+            if getattr(args, key, None) is not None}
 
 
 def main(argv: Optional[list[str]] = None) -> int:

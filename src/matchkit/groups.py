@@ -97,7 +97,7 @@ class Group:
         raise NotImplementedError
 
     def __eq__(self, other: object) -> bool:
-        return isinstance(other, Group) and self.to_json() == other.to_json()
+        return self is other or (isinstance(other, Group) and self.to_json() == other.to_json())
 
     def __hash__(self) -> int:
         return hash(repr(self.to_json()))
@@ -363,13 +363,18 @@ class FreeAbelianGroup(Group):
     def is_abelian(self) -> bool:
         return True
 
-    def canon(self, x: object) -> tuple[int, ...]:
+    def _coords(self, x: object) -> tuple[int, ...]:
+        """x as a rank-length integer tuple, inside the window or not."""
         if not isinstance(x, (tuple, list)) or len(x) != self.rank:
             raise GroupValidationError(f"{x!r} is not a rank-{self.rank} integer tuple")
-        coords = tuple(x)
-        for c in coords:
+        for c in x:
             if isinstance(c, bool) or not isinstance(c, int):
                 raise GroupValidationError(f"coordinate {c!r} is not an integer")
+        return tuple(x)
+
+    def canon(self, x: object) -> tuple[int, ...]:
+        coords = self._coords(x)
+        for c in coords:
             if abs(c) > self.window:
                 raise GroupValidationError(f"coordinate {c} outside window +-{self.window}")
         return coords
@@ -389,11 +394,13 @@ class FreeAbelianGroup(Group):
     def elements(self) -> Iterator[Element]:
         raise GroupTooLargeError(f"{self.name} is infinite; enumeration is not supported")
 
+    # Products may leave the window (see WindowOverflowError), so output
+    # accepts every integer tuple of the rank.
     def format_element(self, x: Element) -> str:
-        return "(" + ",".join(str(c) for c in self.canon(x)) + ")"
+        return "(" + ",".join(str(c) for c in self._coords(x)) + ")"
 
     def element_to_json(self, x: Element) -> list[int]:
-        return list(self.canon(x))
+        return list(self._coords(x))
 
     def to_json(self) -> dict:
         return {"kind": "free_abelian", "rank": self.rank, "window": self.window}

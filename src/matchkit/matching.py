@@ -1,10 +1,15 @@
-"""Matchings between equal-size subsets of a group.
+"""Matchings between equal-size subsets of a group, and the matching core.
 
 A matching from A to B is a bijection f with a*f(a) outside A for every a.
 This module builds the compatibility graph, finds matchings with Hall-type
 certificates when none exist, enumerates matchings, computes multiplicity
 functions, and decides acyclicity (no second matching shares the
 multiplicity function).
+
+It also holds the core shared with ``relative`` (forbidden set A*N, not A):
+every product goes through ``_raw_product``, ``_graph`` is the one graph
+builder, ``_checked_products`` the one sigma check, and ``_sigma_stream`` the
+one search, optionally within a multiplicity budget.
 """
 
 from __future__ import annotations
@@ -12,6 +17,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import partial
+from itertools import islice
 from typing import Callable, Iterator, Literal, Optional, Sequence, TypeVar
 
 from .groups import Element, Group, WindowOverflowError, group_from_json
@@ -93,15 +99,46 @@ class SubsetPair:
         return f"SubsetPair({g.name}; A={{{a}}}; B={{{b}}})"
 
 
+def _product_table(group: Group, left: Sequence[Element],
+                   right: Sequence[Element]) -> list[list[Element]]:
+    """table[i][j] is left[i]*right[j]."""
+    return [[_raw_product(group, x, y) for y in right] for x in left]
+
+
+def _product_set(group: Group, left: Sequence[Element], right: Sequence[Element]) -> frozenset:
+    """The set of products x*y, x in left and y in right."""
+    return frozenset([_raw_product(group, x, y) for x in left for y in right])
+
+
+def _graph(group: Group, left: Sequence[Element], right: Sequence[Element],
+           forbidden: frozenset) -> tuple[tuple[int, ...], ...]:
+    """Adjacency lists: j is admissible for i when left[i]*right[j] lies
+    outside forbidden."""
+    rows = []
+    for x in left:
+        rows.append(tuple(j for j, y in enumerate(right)
+                          if _raw_product(group, x, y) not in forbidden))
+    return tuple(rows)
+
+
+def _checked_products(group: Group, left: Sequence[Element], right: Sequence[Element],
+                      forbidden: frozenset, sigma: tuple[int, ...],
+                      error: type[Exception]) -> tuple[Element, ...]:
+    """The products left[i]*right[sigma[i]], after checking that sigma is a
+    permutation and that no product lies in forbidden; raises error if not."""
+    n = len(left)
+    if sorted(sigma) != list(range(n)):
+        raise error(f"sigma {sigma!r} is not a permutation of 0..{n - 1}")
+    products = tuple(_raw_product(group, x, right[j]) for x, j in zip(left, sigma))
+    for i, p in enumerate(products):
+        if p in forbidden:
+            raise error(f"product at position {i} lands in the forbidden set")
+    return products
+
+
 def compatibility_graph(pair: SubsetPair) -> tuple[tuple[int, ...], ...]:
     """Adjacency lists: j is admissible for i when A[i]*B[j] lies outside A."""
-    g = pair.group
-    rows = []
-    for a in pair.A:
-        row = tuple(j for j, b in enumerate(pair.B)
-                    if not pair.in_a(_raw_product(g, a, b)))
-        rows.append(row)
-    return tuple(rows)
+    return _graph(pair.group, pair.A, pair.B, pair._a_set)
 
 
 def _augment(adj: Sequence[Sequence[int]], root: int, match_b: list[int],
@@ -204,23 +241,11 @@ class Matching:
     def __init__(self, pair: SubsetPair, sigma: Sequence[int]):
         self.pair = pair
         self.sigma = tuple(sigma)
-        n = pair.size
-        if sorted(self.sigma) != list(range(n)):
-            raise PairValidationError(f"sigma {self.sigma!r} is not a permutation of 0..{n - 1}")
-        g = pair.group
-        self.products = tuple(_raw_product(g, pair.A[i], pair.B[self.sigma[i]])
-                              for i in range(n))
-        for i, p in enumerate(self.products):
-            if pair.in_a(p):
-                raise PairValidationError(
-                    f"pair ({g.format_element(pair.A[i])},{g.format_element(pair.B[self.sigma[i]])}) "
-                    f"lands in A; not a matching")
+        self.products = _checked_products(pair.group, pair.A, pair.B, pair._a_set,
+                                          self.sigma, PairValidationError)
 
     def multiplicity(self) -> MultiplicityFunction:
-        counts: dict = {}
-        for p in self.products:
-            counts[p] = counts.get(p, 0) + 1
-        return MultiplicityFunction(tuple(counts.items()))
+        return MultiplicityFunction(tuple(Counter(self.products).items()))
 
     def _product_key(self) -> tuple:
         return tuple(sorted(self.products))
@@ -284,8 +309,15 @@ def hall_violator(pair: SubsetPair) -> tuple[int, ...]:
     return cut
 
 
-def _sigma_stream(adj: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, ...]]:
-    """All perfect matchings as sigma tuples in lexicographic order."""
+def _sigma_stream(adj: Sequence[Sequence[int]],
+                  table: Optional[Sequence[Sequence[Element]]] = None,
+                  budget: Optional[Counter] = None) -> Iterator[tuple[int, ...]]:
+    """All perfect matchings as sigma tuples in lexicographic order.
+
+    With a budget (product -> count, consumed while the search runs), only
+    the matchings whose products table[i][sigma[i]] fit within it.
+    """
+    n = len(adj)
     sigma = [-1] * n
     used = [False] * n
 
@@ -294,12 +326,19 @@ def _sigma_stream(adj: Sequence[Sequence[int]], n: int) -> Iterator[tuple[int, .
             yield tuple(sigma)
             return
         for j in adj[i]:
-            if not used[j]:
-                used[j] = True
-                sigma[i] = j
-                yield from rec(i + 1)
-                used[j] = False
-        sigma[i] = -1
+            if used[j]:
+                continue
+            if budget is not None:
+                p = table[i][j]
+                if budget[p] <= 0:
+                    continue
+                budget[p] -= 1
+            used[j] = True
+            sigma[i] = j
+            yield from rec(i + 1)
+            used[j] = False
+            if budget is not None:
+                budget[p] += 1
 
     yield from rec(0)
 
@@ -313,19 +352,31 @@ class MatchingEnumeration:
         return len(self.matchings)
 
 
-def enumerate_matchings(pair: SubsetPair, cap: int = DEFAULT_ENUMERATION_CAP) -> MatchingEnumeration:
-    """All matchings in lexicographic sigma order, truncated at cap."""
+def _enumerate(pair: SubsetPair, cap: int) -> tuple[MatchingEnumeration, Sequence]:
+    """The enumeration of enumerate_matchings, with the graph it ran on."""
     if pair.size > ENUMERATION_SIZE_CAP:
         raise SizeCapError(f"enumeration supports |A| <= {ENUMERATION_SIZE_CAP}, got {pair.size}")
     adj = compatibility_graph(pair)
     out = []
     truncated = False
-    for sigma in _sigma_stream(adj, pair.size):
+    for sigma in _sigma_stream(adj):
         if len(out) >= cap:
             truncated = True
             break
         out.append(Matching(pair, sigma))
-    return MatchingEnumeration(tuple(out), truncated)
+    return MatchingEnumeration(tuple(out), truncated), adj
+
+
+def enumerate_matchings(pair: SubsetPair, cap: int = DEFAULT_ENUMERATION_CAP) -> MatchingEnumeration:
+    """All matchings in lexicographic sigma order, truncated at cap."""
+    return _enumerate(pair, cap)[0]
+
+
+def _is_acyclic(adj: Sequence[Sequence[int]], table: Sequence[Sequence[Element]],
+                products: Sequence[Element]) -> bool:
+    """True when exactly one matching of the graph has this product multiset;
+    the search stops at the second."""
+    return len(list(islice(_sigma_stream(adj, table, Counter(products)), 2))) == 1
 
 
 def is_acyclic(matching: Matching) -> bool:
@@ -337,37 +388,8 @@ def is_acyclic(matching: Matching) -> bool:
     pair = matching.pair
     if pair.size > ENUMERATION_SIZE_CAP:
         raise SizeCapError(f"acyclicity check supports |A| <= {ENUMERATION_SIZE_CAP}")
-    n = pair.size
-    g = pair.group
-    budget = matching.multiplicity().counts
-    products = [[_raw_product(g, pair.A[i], pair.B[j]) for j in range(n)] for i in range(n)]
-    adj = compatibility_graph(pair)
-    used = [False] * n
-    count = 0
-
-    def rec(i: int) -> bool:
-        nonlocal count
-        if i == n:
-            count += 1
-            return count >= 2
-        for j in adj[i]:
-            if used[j]:
-                continue
-            p = products[i][j]
-            remaining = budget.get(p, 0)
-            if remaining <= 0:
-                continue
-            used[j] = True
-            budget[p] = remaining - 1
-            done = rec(i + 1)
-            budget[p] = remaining
-            used[j] = False
-            if done:
-                return True
-        return False
-
-    rec(0)
-    return count == 1
+    return _is_acyclic(compatibility_graph(pair), _product_table(pair.group, pair.A, pair.B),
+                       matching.products)
 
 
 def _singleton_classes(matchings: Sequence[Matching]) -> list[Matching]:
@@ -395,7 +417,7 @@ def find_acyclic_matching(pair: SubsetPair, cap: int = DEFAULT_ENUMERATION_CAP) 
     grouping by product multiset: a matching is acyclic exactly when its
     multiplicity class is a singleton.
     """
-    enum = enumerate_matchings(pair, cap)
+    enum, adj = _enumerate(pair, cap)
     matchings = enum.matchings
     if not enum.truncated:
         acyclic = _singleton_classes(matchings)
@@ -406,8 +428,10 @@ def find_acyclic_matching(pair: SubsetPair, cap: int = DEFAULT_ENUMERATION_CAP) 
     # Truncated enumeration: acyclicity of each candidate is still decided
     # exactly (the constrained count is global), but absence cannot be, and
     # probing the entire truncated list would cost another search per entry,
-    # so only a bounded prefix is tried before conceding.
+    # so only a bounded prefix is tried before conceding.  All probes share
+    # the enumeration's graph and one product table.
+    table = _product_table(pair.group, pair.A, pair.B)
     for m in matchings[:ACYCLIC_PROBE_LIMIT]:
-        if is_acyclic(m):
+        if _is_acyclic(adj, table, m.products):
             return AcyclicSearch("found", m, len(matchings), None, None)
     return AcyclicSearch("inconclusive", None, len(matchings), None, None)

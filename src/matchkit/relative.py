@@ -5,17 +5,21 @@ sigma matches (a_1..a_n) to (b_1..b_n) relative to a normal subgroup N when
 every product a_i * b_sigma(i) avoids every coset a_j * N.  Taking N trivial
 recovers plain tuple matchings; taking N = ker(eta) mirrors matchings of the
 image tuples under a homomorphism eta.
+
+This module validates inputs; the forbidden set A*N, the graph, the sigma
+check and the search come from the matching core in ``matching``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import Counter
 from functools import partial
 from typing import Optional, Sequence
 
 from .groups import (Element, Group, GroupValidationError, Homomorphism,
                      Subgroup)
-from .matching import _match_or_violator, _solve
+from .matching import (_checked_products, _graph, _match_or_violator,
+                       _product_set, _solve)
 
 
 class MultiplicityMismatchError(ValueError):
@@ -37,18 +41,11 @@ class TupleOfElements:
     @property
     def support(self) -> tuple[Element, ...]:
         """Distinct entries in first-occurrence order."""
-        seen = []
-        for x in self.entries:
-            if x not in seen:
-                seen.append(x)
-        return tuple(seen)
+        return tuple(dict.fromkeys(self.entries))
 
     @property
     def multiplicities(self) -> dict:
-        counts: dict = {}
-        for x in self.entries:
-            counts[x] = counts.get(x, 0) + 1
-        return counts
+        return dict(Counter(self.entries))
 
     def to_json(self) -> list:
         return [self.group.element_to_json(x) for x in self.entries]
@@ -58,14 +55,11 @@ class TupleOfElements:
         return f"TupleOfElements(({inside}))"
 
 
-def _forbidden_set(a: TupleOfElements, subgroup: Subgroup) -> frozenset:
-    """Union of the cosets a_j * N, computed once per search."""
-    g = a.group
-    out = set()
-    for x in a.support:
-        for h in subgroup.members:
-            out.add(g.op(x, h))
-    return frozenset(out)
+def _check_shapes(a: TupleOfElements, b: TupleOfElements, subgroup: Subgroup) -> None:
+    if a.group != b.group or a.group != subgroup.group:
+        raise GroupValidationError("tuples and subgroup must share one group")
+    if len(a) != len(b):
+        raise GroupValidationError("tuples must have equal length")
 
 
 class RelativeMatching:
@@ -73,24 +67,14 @@ class RelativeMatching:
 
     def __init__(self, a: TupleOfElements, b: TupleOfElements, subgroup: Subgroup,
                  sigma: Sequence[int]):
-        if a.group != b.group or a.group != subgroup.group:
-            raise GroupValidationError("tuples and subgroup must share one group")
-        if len(a) != len(b):
-            raise GroupValidationError("tuples must have equal length")
+        _check_shapes(a, b, subgroup)
         self.a = a
         self.b = b
         self.subgroup = subgroup
         self.sigma = tuple(sigma)
-        n = len(a)
-        if sorted(self.sigma) != list(range(n)):
-            raise GroupValidationError(f"sigma {self.sigma!r} is not a permutation")
-        g = a.group
-        forbidden = _forbidden_set(a, subgroup)
-        for i in range(n):
-            p = g.op(a.entries[i], b.entries[self.sigma[i]])
-            if p in forbidden:
-                raise GroupValidationError(
-                    f"product at position {i} lands in a forbidden coset")
+        forbidden = _product_set(a.group, a.support, subgroup.members)
+        _checked_products(a.group, a.entries, b.entries, forbidden, self.sigma,
+                          GroupValidationError)
 
     def to_json(self) -> dict:
         g = self.a.group
@@ -103,26 +87,14 @@ class RelativeMatching:
         return f"RelativeMatching(sigma={self.sigma})"
 
 
-def _relative_graph(a: TupleOfElements, b: TupleOfElements,
-                    subgroup: Subgroup) -> list[tuple[int, ...]]:
-    """Adjacency lists: j is admissible for i when a_i*b_j avoids every coset a_k*N."""
-    g = a.group
-    forbidden = _forbidden_set(a, subgroup)
-    n = len(a)
-    return [tuple(j for j in range(n)
-                  if g.op(a.entries[i], b.entries[j]) not in forbidden)
-            for i in range(n)]
-
-
 def _validated_graph(a: TupleOfElements, b: TupleOfElements,
-                     subgroup: Subgroup) -> list[tuple[int, ...]]:
-    if a.group != b.group or a.group != subgroup.group:
-        raise GroupValidationError("tuples and subgroup must share one group")
-    if len(a) != len(b):
-        raise GroupValidationError("tuples must have equal length")
+                     subgroup: Subgroup) -> tuple[tuple[int, ...], ...]:
+    """Adjacency lists: j is admissible for i when a_i*b_j avoids every coset a_k*N."""
+    _check_shapes(a, b, subgroup)
     if not subgroup.is_normal():
         raise GroupValidationError("the subgroup must be normal")
-    return _relative_graph(a, b, subgroup)
+    forbidden = _product_set(a.group, a.support, subgroup.members)
+    return _graph(a.group, a.entries, b.entries, forbidden)
 
 
 def find_relative_matching(a: TupleOfElements, b: TupleOfElements,
@@ -135,7 +107,7 @@ def find_relative_matching(a: TupleOfElements, b: TupleOfElements,
 def relative_hall_violator(a: TupleOfElements, b: TupleOfElements,
                            subgroup: Subgroup) -> tuple[int, ...]:
     """Index set of a-positions with too small a joint neighborhood."""
-    _, cut = _match_or_violator(_relative_graph(a, b, subgroup),
+    _, cut = _match_or_violator(_validated_graph(a, b, subgroup),
                                 partial(RelativeMatching, a, b, subgroup))
     if cut is None:
         raise GroupValidationError("a relative matching exists; no violator")
@@ -188,12 +160,8 @@ def lift_support_matching(a: TupleOfElements, b: TupleOfElements,
     positions: dict = {}
     for j, y in enumerate(b.entries):
         positions.setdefault(y, []).append(j)
-    cursor = {y: 0 for y in positions}
-    sigma = []
-    for x in a.entries:
-        y = support_map[x]
-        sigma.append(positions[y][cursor[y]])
-        cursor[y] += 1
+    slots = {y: iter(js) for y, js in positions.items()}
+    sigma = [next(slots[support_map[x]]) for x in a.entries]
     try:
         return RelativeMatching(a, b, Subgroup.trivial(g), sigma)
     except GroupValidationError:

@@ -69,7 +69,6 @@ class TestEnvelope:
         assert doc["version"] == __version__
         assert doc["command"] == "match find"
         assert doc["seed"] == 0
-        assert doc["config"]["threads"] == 1
         assert doc["config"]["pair"].endswith("pair.json")
 
     def test_output_is_sorted_and_newline_terminated(self, capsys, tmp_path):
@@ -96,15 +95,6 @@ class TestEnvelope:
         code, doc = run_json(capsys, ["linear", "match", "--pair", pair, "--seed", "5"])
         assert code == 0
         assert doc["seed"] == 5
-
-    def test_threads_env_is_echoed(self, capsys, tmp_path, monkeypatch):
-        pair = z6_obstructed(tmp_path)
-        monkeypatch.setenv("MATCHKIT_THREADS", "4")
-        code, doc = run_json(capsys, ["match", "find", "--pair", pair])
-        assert doc["config"]["threads"] == 4
-        monkeypatch.setenv("MATCHKIT_THREADS", "junk")
-        code, doc = run_json(capsys, ["match", "find", "--pair", pair])
-        assert doc["config"]["threads"] == 1
 
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as excinfo:
@@ -235,6 +225,20 @@ class TestMatchCommands:
         assert result["matchings_examined"] == 1
         assert result["total_matchings"] is None
 
+    @pytest.mark.parametrize("action", ["find", "enumerate", "acyclic"])
+    def test_free_abelian_product_outside_the_window(self, capsys, tmp_path, action):
+        # 3 + 3 = 6 leaves the window; it is a valid product outside A.
+        pair = write_json(tmp_path, "pair.json",
+                          {"group": {"kind": "free_abelian", "rank": 1, "window": 3},
+                           "A": [[3]], "B": [[3]]})
+        code, doc = run_json(capsys, ["match", action, "--pair", pair])
+        assert code == 0
+        result = doc["result"]
+        matching = result["matchings"][0] if action == "enumerate" else result["matching"]
+        assert matching["sigma"] == [0]
+        assert matching["products"] == [[6]]
+        assert matching["multiplicity"] == {"(6)": 1}
+
 
 class TestCriteriaCommand:
     def test_check_with_witness_and_prop14(self, capsys, tmp_path):
@@ -285,6 +289,15 @@ class TestRelativeCommands:
         assert code == 0
         assert doc["result"]["matching"] is None
         assert doc["result"]["hall_violator"] == [0]
+
+    def test_find_free_abelian_product_outside_the_window(self, capsys, tmp_path):
+        doc_in = {"group": {"kind": "free_abelian", "rank": 1, "window": 3},
+                  "a": [[3], [1]], "b": [[3], [2]], "subgroup": [[0]]}
+        path = write_json(tmp_path, "rel.json", doc_in)
+        code, doc = run_json(capsys, ["relative", "find", "--input", path])
+        assert code == 0
+        # 1 + 2 = 3 lands in a, so 1 takes the 3 and 3 + 2 = 5.
+        assert doc["result"] == {"matching": {"sigma": [1, 0]}, "hall_violator": None}
 
     def test_transfer(self, capsys, tmp_path):
         doc_in = {"hom": {"source": {"kind": "cyclic", "n": 6},
