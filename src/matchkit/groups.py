@@ -441,7 +441,11 @@ class Subgroup:
             if g.inv(x) not in self._member_set:
                 raise GroupValidationError(f"subgroup is not closed under inverses at {g.format_element(x)}")
             for y in self.members:
-                if g.op(x, y) not in self._member_set:
+                try:
+                    closed = g.op(x, y) in self._member_set
+                except WindowOverflowError:
+                    closed = False
+                if not closed:
                     raise GroupValidationError(
                         f"subgroup is not closed at {g.format_element(x)}*{g.format_element(y)}")
 

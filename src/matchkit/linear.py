@@ -32,7 +32,7 @@ from typing import Optional, Sequence
 
 from .algebra import (AlgebraElement, AmbientError, LaurentAmbient, Subspace,
                       divide, echelonize, integer_determinant, invert_matrix,
-                      kernel_basis, rref, solve_linear, _frame)
+                      kernel_basis, rref, solve_linear, _frame, _primitive)
 
 HALL_SUBSET_CAP = 12
 DEFAULT_RETRIES = 200
@@ -310,14 +310,18 @@ class _Residual:
                     return tuple(i + 1 for i in subset)
         return None
 
-    def pencil(self, side: str) -> list[list[list[Fraction]]]:
+    def pencil(self, side: str) -> list[list[list[int]]]:
         """The residuals over ``frame`` as a pencil, indexed [column][variable]:
         side "b" varies b over B with columns indexed by the basis of A, side
-        "a" is the transpose."""
+        "a" is the transpose.  One common denominator is cleared, so entries
+        are integers; scaling changes neither a kernel nor the rank-drop locus."""
         if not self._pencils:
             rows = [self.row(i)[1] for i in range(len(self.a_elements))]
             self.frame = _frame(r for row in rows for r in row)
             dense = [[r.to_dense(self.frame) for r in row] for row in rows]
+            den = math.lcm(*(v.denominator for row in dense for vec in row for v in vec))
+            dense = [[[v.numerator * (den // v.denominator) for v in vec] for vec in row]
+                     for row in dense]
             self._pencils = {"b": dense, "a": [list(col) for col in zip(*dense)]}
         return self._pencils[side]
 
@@ -532,8 +536,10 @@ def _kernel_witness(residual: _Residual, side: str,
     if all(c == 0 for c in beta):
         return None
     dense = residual.pencil(side)
-    matrix = [[sum((c * part[r] for c, part in zip(beta, col) if c), Fraction(0))
-               for col in dense] for r in range(len(residual.frame))]
+    scale = math.lcm(*(c.denominator for c in beta))
+    ints = [c.numerator * (scale // c.denominator) for c in beta]
+    matrix = [[sum(c * part[r] for c, part in zip(ints, col) if c) for col in dense]
+              for r in range(len(residual.frame))]
     kernel = kernel_basis(matrix, len(dense))
     if not kernel:
         return None
@@ -554,66 +560,75 @@ def _kernel_witness(residual: _Residual, side: str,
     return None
 
 
-def _poly_trim(poly: Sequence[Fraction]) -> list[Fraction]:
+def _poly_trim(poly: Sequence[int | Fraction]) -> list[int | Fraction]:
     out = list(poly)
     while out and out[-1] == 0:
         out.pop()
     return out
 
 
-def _poly_divmod(num: Sequence[Fraction],
-                 den: Sequence[Fraction]) -> tuple[list[Fraction], list[Fraction]]:
-    rem = list(num)
-    steps = len(rem) - len(den) + 1
-    quot = [Fraction(0)] * max(steps, 0)
-    inv = 1 / den[-1]
-    for k in range(steps - 1, -1, -1):
-        coeff = rem[k + len(den) - 1] * inv
-        quot[k] = coeff
-        if coeff:
-            for j, d in enumerate(den):
-                rem[k + j] -= coeff * d
-    return quot, _poly_trim(rem[:len(den) - 1])
+def _pseudo_remainder(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """The remainder of |lc(den)|^(deg num - deg den + 1) * num by den: a
+    positive multiple of the rational remainder, divided by its content."""
+    if den[-1] < 0:
+        den = [-c for c in den]
+    lead, rem = den[-1], list(num)
+    for top in range(len(num) - 1, len(den) - 2, -1):
+        factor, shift = rem[top], top - len(den) + 1
+        rem = [lead * c for c in rem[:top]]
+        for j, d in enumerate(den[:-1]):
+            rem[shift + j] -= factor * d
+    return _primitive(_poly_trim(rem))
 
 
-def _poly_gcd(a: Sequence[Fraction], b: Sequence[Fraction]) -> list[Fraction]:
-    a, b = _poly_trim(a), _poly_trim(b)
-    while b:
-        _, r = _poly_divmod(a, b)
-        a, b = b, r
-    if a:
-        lead = a[-1]
-        a = [c / lead for c in a]
-    return a
-
-
-def _sturm_chain(poly: Sequence[Fraction]) -> list[list[Fraction]]:
-    chain = [_poly_trim(poly)]
-    derivative = _poly_trim([poly[i] * i for i in range(1, len(poly))])
-    if derivative:
-        chain.append(derivative)
+def _remainder_chain(poly: Sequence[int]) -> list[list[int]]:
+    """The Sturm chain of an integer polynomial: poly, poly', then negated
+    pseudo-remainders.  Every member is a positive multiple of its rational
+    counterpart, so signs are kept; the last is gcd(poly, poly') times a constant."""
+    chain = [list(poly), _primitive([i * c for i, c in enumerate(poly)][1:])]
     while len(chain[-1]) > 1:
-        _, rem = _poly_divmod(chain[-2], chain[-1])
+        rem = _pseudo_remainder(chain[-2], chain[-1])
         if not rem:
             break
         chain.append([-c for c in rem])
     return chain
 
 
-def _sign_variations(chain: Sequence[Sequence[Fraction]], x: Fraction) -> int:
-    signs = []
-    for p in chain:
-        v = _poly_eval(p, x)
-        if v != 0:
-            signs.append(1 if v > 0 else -1)
+def _exact_quotient(num: Sequence[int], den: Sequence[int]) -> list[int]:
+    """num / den for primitive integer polynomials with den dividing num over
+    Q; by Gauss's lemma the quotient is integral, so each step divides exactly."""
+    rem, quot = list(num), [0] * (len(num) - len(den) + 1)
+    for k in range(len(quot) - 1, -1, -1):
+        quot[k] = rem[k + len(den) - 1] // den[-1]
+        for j, d in enumerate(den):
+            rem[k + j] -= quot[k] * d
+    return quot
+
+
+def _scaled_value(poly: Sequence[int], x: Fraction) -> int:
+    """d^deg * poly(n/d) for x = n/d with d > 0, by homogeneous Horner:
+    the sum of c_i n^i d^(deg - i), an integer with the sign of poly(x)."""
+    acc, power = 0, 1
+    for c in reversed(poly):
+        acc = acc * x.numerator + c * power
+        power *= x.denominator
+    return acc
+
+
+def _sign_variations(chain: Sequence[Sequence[int]], x: Fraction) -> int:
+    signs = [v > 0 for v in (_scaled_value(p, x) for p in chain) if v]
     return sum(1 for s, t in zip(signs, signs[1:]) if s != t)
 
 
-def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
+def _rational_roots(poly: Sequence[int | Fraction]) -> list[Fraction]:
     """All rational roots of the polynomial, exactly.
 
-    Sturm isolation plus bisection; each isolating interval is narrowed far
-    enough that a rational root with admissible denominator is recovered by
+    Int or Fraction coefficients are cleared once to a primitive integer
+    polynomial, and gcd(p, p') is divided out to leave the square-free part.
+    Its Sturm chain of integer pseudo-remainders, signed as the rational one
+    (see ``_remainder_chain``), is evaluated by homogeneous integer Horner.
+    Sturm isolation plus bisection narrows each isolating interval far enough
+    that a rational root with admissible denominator is recovered by
     best-approximation and confirmed by exact evaluation.  Divisor sweeps of
     the constant and leading coefficients are avoided on purpose: pencil
     polynomials routinely carry huge coefficients.
@@ -630,21 +645,18 @@ def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
         coeffs = coeffs[low:]
     if len(coeffs) == 1:
         return sorted(roots)
-    square_free = coeffs
-    gcd = _poly_gcd(coeffs, [coeffs[i] * i for i in range(1, len(coeffs))])
-    if len(gcd) > 1:
-        square_free, _ = _poly_divmod(coeffs, gcd)
-    scale = math.lcm(*(c.denominator for c in square_free))
-    ints = [c * scale for c in square_free]
-    content = math.gcd(*(int(c) for c in ints))
-    ints = [c / content for c in ints]
+    den = math.lcm(*(c.denominator for c in coeffs))
+    ints = _primitive([c.numerator * (den // c.denominator) for c in coeffs])
+    chain = _remainder_chain(ints)
+    if len(chain[-1]) > 1:
+        ints = _exact_quotient(ints, chain[-1])
+        chain = _remainder_chain(ints)
     if len(ints) == 2:
-        roots.add(-ints[0] / ints[1])
+        roots.add(Fraction(-ints[0], ints[1]))
         return sorted(roots)
-    lead = int(abs(ints[-1]))
-    bound = 1 + max(abs(c) for c in ints) / abs(ints[-1])
+    lead = abs(ints[-1])
+    bound = 1 + Fraction(max(map(abs, ints)), lead)
     width = Fraction(1, 2 * lead * lead)
-    chain = _sturm_chain(ints)
     intervals = [(-bound, bound,
                   _sign_variations(chain, -bound), _sign_variations(chain, bound))]
     isolated = []
@@ -657,7 +669,7 @@ def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
             isolated.append((lo, hi, vlo, vhi))
             continue
         mid = (lo + hi) / 2
-        if _poly_eval(ints, mid) == 0:
+        if _scaled_value(ints, mid) == 0:
             roots.add(mid)
         vmid = _sign_variations(chain, mid)
         intervals.append((lo, mid, vlo, vmid))
@@ -665,7 +677,7 @@ def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
     for lo, hi, vlo, vhi in isolated:
         while hi - lo >= width:
             mid = (lo + hi) / 2
-            if _poly_eval(ints, mid) == 0:
+            if _scaled_value(ints, mid) == 0:
                 break
             vmid = _sign_variations(chain, mid)
             if vlo - vmid == 1:
@@ -673,37 +685,25 @@ def _rational_roots(poly: list[Fraction]) -> list[Fraction]:
             else:
                 lo, vlo = mid, vmid
         candidate = ((lo + hi) / 2).limit_denominator(lead)
-        if _poly_eval(ints, candidate) == 0:
+        if _scaled_value(ints, candidate) == 0:
             roots.add(candidate)
     return sorted(roots)
 
 
-def _poly_eval(poly: Sequence[Fraction], x: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in reversed(poly):
-        acc = acc * x + c
-    return acc
-
-
-def _gram_determinant(residual: _Residual, side: str, axis: int) -> list[Fraction]:
+def _gram_determinant(residual: _Residual, side: str, axis: int) -> list[int]:
     """det(M^T M) for beta = e_other + s*e_axis as a polynomial in s, where
-    M is the pencil of the given side at beta.
+    M is the integer pencil of the given side at beta.
 
     Only meaningful for two-variable pencils; axis selects which of the two
-    variables carries s.  With one common denominator cleared, the degree
-    <= 2m polynomial is sampled at s = 0..2m by integer determinants and
-    recovered by exact Newton interpolation.
+    variables carries s.  The degree <= 2m polynomial is sampled at s = 0..2m
+    by integer determinants and recovered by exact Newton interpolation.
     """
     dense = residual.pencil(side)
     other = 1 - axis
-    m = len(dense)
-    degree = 2 * m
-    den = math.lcm(*(v.denominator for col in dense for part in col for v in part))
-    const = [[v.numerator * (den // v.denominator) for v in col[other]] for col in dense]
-    slope = [[v.numerator * (den // v.denominator) for v in col[axis]] for col in dense]
+    degree = 2 * len(dense)
     values = []
     for s in range(degree + 1):
-        cols = [[c + s * d for c, d in zip(ci, si)] for ci, si in zip(const, slope)]
+        cols = [[c + s * d for c, d in zip(col[other], col[axis])] for col in dense]
         gram = [[sum(map(operator.mul, ci, cj)) for cj in cols] for ci in cols]
         values.append(integer_determinant(gram))
     # Newton form at the nodes 0..2m: the k-th forward difference over k!
@@ -719,7 +719,7 @@ def _gram_determinant(residual: _Residual, side: str, axis: int) -> list[Fractio
         for i in range(len(coeffs) - 1):
             coeffs[i] -= k * coeffs[i + 1]
         coeffs[0] += values[k] * (scale // math.factorial(k))
-    return [Fraction(c, scale * den ** degree) for c in coeffs]
+    return [c // scale for c in coeffs]
 
 
 def _two_variable_decision(residual: _Residual,

@@ -19,8 +19,8 @@ from typing import Optional, Sequence
 import random
 
 from .groups import CyclicGroup, Element, Group
-from .matching import (SubsetPair, _singleton_classes, enumerate_matchings,
-                       find_acyclic_matching)
+from .matching import (ENUMERATION_SIZE_CAP, SubsetPair, _singleton_classes,
+                       enumerate_matchings, find_acyclic_matching)
 
 DEFAULT_ENUMERATION_BUDGET = 200_000
 EXHAUSTIVE_SIZE_CAP = 12
@@ -103,6 +103,10 @@ class PrimeVerdict:
 
 
 def _with_exhaustive_fields(verdict: PrimeVerdict, cap: int) -> PrimeVerdict:
+    """Add the exhaustive search's counts; sets beyond the enumeration size
+    cap keep the certificate alone, with exhaustive false."""
+    if len(verdict.subset) > ENUMERATION_SIZE_CAP:
+        return verdict
     pair = SubsetPair(CyclicGroup(verdict.p), verdict.subset, verdict.subset)
     search = find_acyclic_matching(pair, cap)
     if search.status != "inconclusive":

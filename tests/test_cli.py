@@ -14,6 +14,7 @@ import pytest
 from matchkit import __version__, cli, matching
 from matchkit.algebra import LaurentAmbient, StructureConstantAmbient, echelonize
 from matchkit.cli import main
+from matchkit.primes import check_prop_2_2
 
 ENVELOPE_KEYS = {"tool", "version", "command", "seed", "config", "result"}
 
@@ -299,6 +300,16 @@ class TestRelativeCommands:
         # 1 + 2 = 3 lands in a, so 1 takes the 3 and 3 + 2 = 5.
         assert doc["result"] == {"matching": {"sigma": [1, 0]}, "hall_violator": None}
 
+    def test_find_subgroup_leaving_the_window_exits_2(self, capsys, tmp_path):
+        doc_in = {"group": {"kind": "free_abelian", "rank": 1, "window": 1},
+                  "a": [[1]], "b": [[1]], "subgroup": [[0], [1], [-1]]}
+        path = write_json(tmp_path, "rel.json", doc_in)
+        code, out, err = run_cli(capsys, ["relative", "find", "--input", path])
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert "not closed at" in err and "Traceback" not in err
+
     def test_transfer(self, capsys, tmp_path):
         doc_in = {"hom": {"source": {"kind": "cyclic", "n": 6},
                           "target": {"kind": "cyclic", "n": 3},
@@ -321,6 +332,17 @@ class TestPrimesCommands:
         verdict = doc["result"]["verdicts"][0]
         assert verdict["p"] == 7
         assert verdict["certificate"]["square_root_of_two"] in (3, 4)
+
+    def test_family_with_cap_beyond_the_enumeration_size_cap(self, capsys):
+        code, doc = run_json(capsys, ["primes", "family", "--prop", "22",
+                                      "--upto", "60", "--cap", "1"])
+        assert code == 0
+        rows = {row["p"]: row for row in doc["result"]["verdicts"]}
+        assert sorted(rows) == [7, 23, 31, 47]
+        assert rows[47]["exhaustive"] is False
+        assert rows[47]["certificate"]["subset_size"] > matching.ENUMERATION_SIZE_CAP
+        for p in (7, 23, 31):
+            assert rows[p] == json.loads(json.dumps(check_prop_2_2(p, enumeration_cap=1).to_json()))
 
     def test_family_is_deterministic(self, capsys):
         argv = ["primes", "family", "--prop", "23", "--upto", "100"]

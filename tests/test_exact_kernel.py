@@ -1,5 +1,6 @@
 """Oracle tests for the exact integer kernel: row reduction, kernels, integer
-determinants and the interpolated Gram determinant of two-variable pencils.
+determinants, the interpolated Gram determinant of two-variable pencils and
+its rational roots.
 
 sympy serves only as an independent oracle here; matchkit itself stays
 stdlib-only.
@@ -9,12 +10,13 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from matchkit import AlgebraElement, LaurentAmbient, echelonize
 from matchkit.algebra import integer_determinant, kernel_basis, rref, solve_linear
-from matchkit.linear import _gram_determinant, _poly_trim, _Residual, strong_matching_report
+from matchkit.linear import (_gram_determinant, _poly_trim, _rational_roots, _Residual,
+                             strong_matching_report)
 
 sympy = pytest.importorskip("sympy")
 
@@ -122,6 +124,11 @@ def two_variable_pencils(draw):
     return _Residual(a_space.basis, a_space, b_space), draw(st.integers(0, 1))
 
 
+def residual_of(a_vectors, b_vectors):
+    a_space, b_space = space(a_vectors), space(b_vectors)
+    return _Residual(a_space.basis, a_space, b_space)
+
+
 class TestGramDeterminant:
     @settings(max_examples=25, deadline=None)
     @given(two_variable_pencils())
@@ -141,6 +148,89 @@ class TestGramDeterminant:
         poly = _gram_determinant(residual, "a", axis)
         assert len(poly) == 2 * ncols + 1
         assert _poly_trim(poly) == _poly_trim(expected)
+
+    # Random pencils rarely drop rank at a rational point; this one does at s = -1.
+    @example((residual_of([{0: 2, 1: -3, 2: 1}, {0: -2, 1: 2}],
+                          [{0: -3, 3: 3}, {1: -2, 3: -3}, {0: -1, 1: 3, 2: -1}]), 0))
+    @settings(max_examples=25, deadline=None)
+    @given(two_variable_pencils())
+    def test_rational_roots_match_symbolic_gram(self, case):
+        assume(case is not None)
+        residual, axis = case
+        dense = residual.pencil("a")
+        s = sympy.Symbol("s")
+        matrix = sympy.Matrix(len(residual.frame), len(dense), lambda r, i: (
+            dense[i][1 - axis][r] + s * dense[i][axis][r]))
+        det = sympy.expand((matrix.T * matrix).det(method="berkowitz"))
+        assume(det != 0)
+        poly = _gram_determinant(residual, "a", axis)
+        assert _rational_roots(poly) == sympy_rational_roots(det, s)
+
+
+def sympy_rational_roots(expr, x):
+    """The roots of the linear factors of sympy's factorization over Q."""
+    _, factors = sympy.factor_list(expr, x)
+    roots = []
+    for factor, _ in factors:
+        poly = sympy.Poly(factor, x)
+        if poly.degree() == 1:
+            slope, const = poly.all_coeffs()
+            roots.append(to_fraction(-const / slope))
+    return sorted(roots)
+
+
+@st.composite
+def planted_polynomials(draw):
+    """Integer polynomials of degree <= 14: planted rational roots of
+    multiplicity <= 3 times extra factors (x^2 - c for c not a square,
+    d x^2 + c with c, d > 0, or a random one) with coefficients up to 10^20,
+    times a scalar up to 10^20 so the content is not 1."""
+    big = st.integers(-10**20, 10**20)
+    poly = [1]
+    for _ in range(draw(st.integers(0, 4))):
+        num = draw(st.integers(-10**6, 10**6))
+        den = draw(st.integers(1, 10**6))
+        for _ in range(draw(st.integers(1, 3))):
+            poly = poly_times(poly, [-num, den])
+    while len(poly) < 15:
+        kind = draw(st.sampled_from(["irrational", "positive", "random", "stop"]))
+        if kind == "stop":
+            break
+        if kind == "irrational":
+            c = draw(st.integers(2, 10**20))
+            assume(sympy.sqrt(c).is_rational is False)
+            factor = [-c, 0, 1]
+        elif kind == "positive":
+            factor = [draw(st.integers(1, 10**20)), 0, draw(st.integers(1, 10**6))]
+        else:
+            factor = draw(st.lists(big, min_size=2, max_size=5))
+            assume(factor[-1] != 0)
+        if len(poly) + len(factor) - 1 > 15:
+            break
+        poly = poly_times(poly, factor)
+    poly = poly_times(poly, [draw(st.integers(1, 10**20)) * draw(st.sampled_from([-1, 1]))])
+    return poly
+
+
+def poly_times(left, right):
+    out = [0] * (len(left) + len(right) - 1)
+    for i, c in enumerate(left):
+        for j, d in enumerate(right):
+            out[i + j] += c * d
+    return out
+
+
+class TestRationalRootsOracle:
+    # x(3x^6 + x^3 - 4): its Sturm chain drops two degrees at a divisor with a
+    # negative leading coefficient, where a signed multiplier would flip signs.
+    @example([0, -4, 0, 0, 1, 0, 0, 3], False)
+    @settings(max_examples=60, deadline=None)
+    @given(planted_polynomials(), st.booleans())
+    def test_matches_sympy_linear_factors(self, poly, as_fractions):
+        x = sympy.Symbol("x")
+        expected = sympy_rational_roots(sympy.Poly(list(reversed(poly)), x).as_expr(), x)
+        coeffs = [Fraction(c) for c in poly] if as_fractions else poly
+        assert _rational_roots(coeffs) == expected
 
 
 # A 2 x 10 Laurent pair (drawn once with random.Random(1): A over degrees
